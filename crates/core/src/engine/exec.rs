@@ -1,16 +1,21 @@
 //! Strategy execution.
 
 use crate::engine::eval;
+use crate::engine::pool;
 use crate::engine::share::{self, TermOptions};
 use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
+use crate::parallel::{canonical_stage_order, ParallelStrategy};
 use crate::wal::{encode_pending, Manifest, ManifestExpr, RecordBody, WalConfig, WalWriter};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 use uww_obs as obs;
 use uww_relational::ops;
-use uww_relational::{catalog_to_string, deltas_to_string, digest64, ViewOutput, WorkMeter};
-use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr, ViewId};
+use uww_relational::{
+    catalog_to_string, deltas_to_string, digest64, table_digest, ViewOutput, WorkMeter,
+};
+use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr, Vdag, ViewId};
 
 /// Execution options.
 #[derive(Clone, Debug)]
@@ -35,10 +40,12 @@ pub struct ExecOptions {
     pub term_threads: usize,
     /// Share operand materializations and hash-join build tables *across*
     /// expressions through a strategy-scope cache (default: off). Requires
-    /// `term_sharing`; invalidation follows the `UWW012` liveness predicate,
-    /// so deltas, WAL bytes, and the logical meter are byte-identical to
-    /// per-`Comp` caching — only `physical_rows_touched`,
-    /// `hash_tables_cross_reused`, and `operand_reads_cached` move.
+    /// `term_sharing` and a sequential run — otherwise the run is refused
+    /// with [`CoreError::IncompatibleOptions`]. Invalidation follows the
+    /// `UWW012` liveness predicate, so deltas, WAL bytes, and the logical
+    /// meter are byte-identical to per-`Comp` caching — only
+    /// `physical_rows_touched`, `hash_tables_cross_reused`, and
+    /// `operand_reads_cached` move.
     pub strategy_sharing: bool,
     /// Planner-predicted linear work per expression, in execution (manifest)
     /// order — attached to expression spans when tracing is enabled so
@@ -148,21 +155,7 @@ impl ExecutionReport {
             )
         }
         fn json_str(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
+            format!("\"{}\"", obs::json::escape(s))
         }
 
         let mut out = String::from("{\"per_expr\":[");
@@ -256,10 +249,66 @@ pub struct WindowOutcome {
     pub conformance: CarryConformance,
 }
 
+/// One step of the run loop: expressions that all see the warehouse state
+/// at batch entry. The batch's `Comp`s are computed against that state — on
+/// the task pool when there are several — and merged in order; then its
+/// `Inst`s apply one at a time.
+pub(crate) struct Batch {
+    /// The WAL stage label (0 throughout a sequential run).
+    pub(crate) stage: usize,
+    /// `(manifest index, expression)` pairs, `Comp`s before `Inst`s.
+    pub(crate) exprs: Vec<(usize, UpdateExpr)>,
+}
+
+impl Batch {
+    /// One batch per expression, all in stage 0: a sequential strategy.
+    fn sequential(s: &Strategy) -> Vec<Batch> {
+        s.exprs
+            .iter()
+            .enumerate()
+            .map(|(idx, e)| Batch {
+                stage: 0,
+                exprs: vec![(idx, e.clone())],
+            })
+            .collect()
+    }
+
+    /// One batch per stage, indexed in [`canonical_stage_order`].
+    fn staged(p: &ParallelStrategy) -> Vec<Batch> {
+        let mut batches: Vec<Batch> = (0..p.stages.len())
+            .map(|stage| Batch {
+                stage,
+                exprs: Vec::new(),
+            })
+            .collect();
+        for (idx, (stage, e)) in canonical_stage_order(p).into_iter().enumerate() {
+            batches[stage].exprs.push((idx, e));
+        }
+        batches
+    }
+}
+
+/// How a run groups its expressions, as its entry point received them.
+enum Schedule<'a> {
+    Sequential(&'a Strategy),
+    Staged(&'a ParallelStrategy),
+}
+
 impl Warehouse {
     /// Executes a VDAG strategy with default options.
     pub fn execute(&mut self, strategy: &Strategy) -> CoreResult<ExecutionReport> {
         self.execute_with(strategy, ExecOptions::default())
+    }
+
+    /// Executes a VDAG strategy.
+    pub fn execute_with(
+        &mut self,
+        strategy: &Strategy,
+        opts: ExecOptions,
+    ) -> CoreResult<ExecutionReport> {
+        Ok(self
+            .run(Schedule::Sequential(strategy), &opts, None)?
+            .report)
     }
 
     /// Executes one continuous-mode window: like [`Warehouse::execute_with`]
@@ -274,127 +323,125 @@ impl Warehouse {
         opts: ExecOptions,
         carry: share::WindowCarry,
     ) -> CoreResult<WindowOutcome> {
-        if !opts.term_sharing {
-            return Err(CoreError::Warehouse(
-                "execute_carried requires term_sharing (the strategy cache rides on it)".into(),
-            ));
-        }
-        if opts.analyze_first {
-            let report = uww_analysis::analyze(self.vdag(), strategy);
-            if report.has_errors() {
-                return Err(CoreError::Analysis(Box::new(report)));
-            }
-        }
-        if opts.validate {
-            check_vdag_strategy(self.vdag(), strategy)?;
-        }
-        let mut wal = match &opts.wal {
-            Some(cfg) => {
-                let staged: Vec<(usize, &UpdateExpr)> =
-                    strategy.exprs.iter().map(|e| (0, e)).collect();
-                Some(self.wal_begin(cfg, &staged)?)
-            }
-            None => None,
-        };
-        // A carry built at a different partition count cannot seed this
-        // window: its tables are split differently than this run's probes,
-        // so serving one would be a cross-partition stale hit. Drop it
-        // *before* planning, so the plan and the runtime cache agree.
-        let carry = if carry.is_empty() || carry.partitions() == opts.partition.partitions {
-            carry
-        } else {
-            share::WindowCarry::empty()
-        };
-        // The seeded plan starts its liveness walk from the carried entries,
-        // so the front of the strategy can consume the previous window's
-        // builds; seeding the runtime cache with the *same* carry makes
-        // measured and predicted counters equal by construction.
-        let plan = share::plan_strategy_sharing_carried(self, strategy, &carry)?;
-        let mut conformance = CarryConformance {
-            predicted_cross_reuses: plan.cross_reuses(),
-            predicted_cached_reads: plan.cached_reads(),
-            predicted_carried_table_hits: plan.carried_table_hits,
-            predicted_carried_raw_hits: plan.carried_raw_hits,
-            ..CarryConformance::default()
-        };
-        let scache = plan.cache_with(carry);
-        let mut run_span = obs::span(obs::SpanKind::Run, "execute");
-        run_span.attr_u64("expressions", strategy.exprs.len() as u64);
-        let items: Vec<(usize, usize, UpdateExpr)> = strategy
-            .exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, 0, e.clone()))
-            .collect();
-        let start_meter = *self.meter();
-        let report = self.run_exprs_journaled(
-            &items,
-            None,
-            &mut wal,
-            opts.term_options(),
-            Some(&scache),
-            opts.predicted_work.as_deref(),
-        )?;
-        if let Some(w) = &mut wal {
-            w.append(&RecordBody::Commit)?;
-        }
-        let measured = self.meter().since(&start_meter);
-        conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
-        conformance.measured_cached_reads = measured.operand_reads_cached;
-        let (table_hits, raw_hits) = scache.carried_hits();
-        conformance.measured_carried_table_hits = table_hits;
-        conformance.measured_carried_raw_hits = raw_hits;
-        Ok(WindowOutcome {
-            report,
-            carry: scache.harvest(opts.partition.partitions),
-            conformance,
-        })
+        self.run(Schedule::Sequential(strategy), &opts, Some(carry))
     }
 
-    /// Executes a VDAG strategy.
-    pub fn execute_with(
+    /// Executes a parallel strategy (Section 9) stage by stage: within each
+    /// stage every `Comp` is computed concurrently against the stage-entry
+    /// state, the fragments merge in stage order, and the stage's `Inst`s
+    /// apply serially at the stage boundary. The analyzer always runs first
+    /// and refuses stage races (`UWW001`) that the linearized checks cannot
+    /// see.
+    ///
+    /// With a WAL attached, each stage journals `STG`, then `CS` for every
+    /// `Comp`, then `CD` for every `Comp`, then `IS`/`ID` for each `Inst`,
+    /// indexed in [`canonical_stage_order`] — so a crash at any record
+    /// boundary resumes sequentially from the expression it interrupted.
+    /// The report lists expressions in that order; per-expression walls of
+    /// one stage overlap, so time the call itself for the makespan.
+    pub fn execute_staged(
         &mut self,
-        strategy: &Strategy,
+        p: &ParallelStrategy,
         opts: ExecOptions,
     ) -> CoreResult<ExecutionReport> {
-        if opts.analyze_first {
-            let report = uww_analysis::analyze(self.vdag(), strategy);
+        Ok(self.run(Schedule::Staged(p), &opts, None)?.report)
+    }
+
+    /// The prologue and epilogue every entry point shares around
+    /// [`Warehouse::run_batches`]: option checks, analysis and validation,
+    /// the WAL manifest, the strategy-sharing plan (seeded with `carry` when
+    /// given); then the commit record, the conformance counters and, for a
+    /// carried window, the harvest.
+    fn run(
+        &mut self,
+        schedule: Schedule<'_>,
+        opts: &ExecOptions,
+        carry: Option<share::WindowCarry>,
+    ) -> CoreResult<WindowOutcome> {
+        let staged = matches!(schedule, Schedule::Staged(_));
+        let carried = carry.is_some();
+        let strategy_sharing = opts.strategy_sharing || carried;
+        if strategy_sharing && !opts.term_sharing {
+            return Err(CoreError::IncompatibleOptions(
+                "strategy sharing requires term sharing (the strategy cache rides on it)".into(),
+            ));
+        }
+        if strategy_sharing && staged {
+            return Err(CoreError::IncompatibleOptions(
+                "strategy sharing cannot run staged: its consume/publish directives are \
+                 planned for one expression at a time"
+                    .into(),
+            ));
+        }
+        let (linear, batches, analysis) = match schedule {
+            Schedule::Sequential(s) => (
+                Cow::Borrowed(s),
+                Batch::sequential(s),
+                opts.analyze_first
+                    .then(|| uww_analysis::analyze(self.vdag(), s)),
+            ),
+            // The linearized checks cannot see stage races: a same-stage
+            // pair like `Comp(V5, {V4}); Comp(V4, ..)` linearizes to a
+            // C8-legal order yet computes against the stage-entry state,
+            // silently dropping ΔV4's contribution. The analyzer (UWW001)
+            // can — and it underwrites the manifest's canonical order — so
+            // it always runs on a staged schedule.
+            Schedule::Staged(p) => (
+                Cow::Owned(p.linearize()),
+                Batch::staged(p),
+                Some(uww_analysis::analyze_parallel(self.vdag(), &p.stages)),
+            ),
+        };
+        if let Some(report) = analysis {
             if report.has_errors() {
                 return Err(CoreError::Analysis(Box::new(report)));
             }
         }
         if opts.validate {
-            check_vdag_strategy(self.vdag(), strategy)?;
+            check_vdag_strategy(self.vdag(), &linear)?;
         }
         let mut wal = match &opts.wal {
-            Some(cfg) => {
-                let staged: Vec<(usize, &UpdateExpr)> =
-                    strategy.exprs.iter().map(|e| (0, e)).collect();
-                Some(self.wal_begin(cfg, &staged)?)
-            }
+            Some(cfg) => Some(self.wal_begin(cfg, &batches)?),
             None => None,
         };
         // Strategy-scope sharing is planned statically before anything runs:
         // the directives fix exactly which keyed builds cross expression
         // boundaries, so measured cross counters equal the plan.
-        let scache = if opts.strategy_sharing && opts.term_sharing {
-            Some(
-                share::plan_strategy_sharing(self, strategy, share::SharingScope::Strategy)?
-                    .cache(),
-            )
+        let mut conformance = CarryConformance::default();
+        let scache = if strategy_sharing {
+            // A carry built at a different partition count cannot seed this
+            // window: its tables are split differently than this run's
+            // probes, so serving one would be a cross-partition stale hit.
+            // Drop it *before* planning, so the plan and the runtime cache
+            // agree.
+            let carry = carry
+                .filter(|c| c.partitions() == opts.partition.partitions)
+                .unwrap_or_default();
+            // The seeded plan starts its liveness walk from the carried
+            // entries, so the front of the strategy can consume the previous
+            // window's builds; seeding the runtime cache with the *same*
+            // carry makes measured and predicted counters equal by
+            // construction.
+            let plan = share::plan_strategy_sharing_carried(self, &linear, &carry)?;
+            conformance.predicted_cross_reuses = plan.cross_reuses();
+            conformance.predicted_cached_reads = plan.cached_reads();
+            conformance.predicted_carried_table_hits = plan.carried_table_hits;
+            conformance.predicted_carried_raw_hits = plan.carried_raw_hits;
+            Some(plan.cache_with(carry))
         } else {
             None
         };
-        let mut run_span = obs::span(obs::SpanKind::Run, "execute");
-        run_span.attr_u64("expressions", strategy.exprs.len() as u64);
-        let items: Vec<(usize, usize, UpdateExpr)> = strategy
-            .exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, 0, e.clone()))
-            .collect();
-        let report = self.run_exprs_journaled(
-            &items,
+        let mut run_span = obs::span(
+            obs::SpanKind::Run,
+            if staged { "execute_staged" } else { "execute" },
+        );
+        run_span.attr_u64("expressions", linear.exprs.len() as u64);
+        if staged {
+            run_span.attr_u64("stages", batches.len() as u64);
+        }
+        let start_meter = *self.meter();
+        let report = self.run_batches(
+            &batches,
             None,
             &mut wal,
             opts.term_options(),
@@ -404,16 +451,38 @@ impl Warehouse {
         if let Some(w) = &mut wal {
             w.append(&RecordBody::Commit)?;
         }
-        Ok(report)
+        let mut next = share::WindowCarry::empty();
+        if let Some(scache) = scache {
+            let measured = self.meter().since(&start_meter);
+            conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
+            conformance.measured_cached_reads = measured.operand_reads_cached;
+            (
+                conformance.measured_carried_table_hits,
+                conformance.measured_carried_raw_hits,
+            ) = scache.carried_hits();
+            if carried {
+                next = scache.harvest(opts.partition.partitions);
+            }
+        }
+        Ok(WindowOutcome {
+            report,
+            carry: next,
+            conformance,
+        })
     }
 
-    /// Runs a sequence of `(manifest idx, stage, expr)` items, journaling
-    /// each expression boundary when a WAL writer is attached. Emits a stage
-    /// record whenever the stage changes from `last_stage` (recovery passes
-    /// the stage of the last completed prefix expression).
-    pub(crate) fn run_exprs_journaled(
+    /// The run loop — the only code that executes expressions. Emits a
+    /// stage record whenever a batch's stage differs from `last_stage`
+    /// (recovery passes the stage of the last completed prefix expression),
+    /// then runs each batch: `CS` for every `Comp`, the `Comp`s computed
+    /// against the batch-entry state on the task pool, `CD` and the merge
+    /// for each in order, then `IS`, the install and `ID` for each `Inst`.
+    /// A `CD` therefore lands before its fragment merges (log-ahead), and
+    /// the `ID` carries the installed row count and a digest of the view's
+    /// new extent, which recovery verifies after redoing the install.
+    pub(crate) fn run_batches(
         &mut self,
-        items: &[(usize, usize, UpdateExpr)],
+        batches: &[Batch],
         mut last_stage: Option<usize>,
         wal: &mut Option<WalWriter>,
         topts: TermOptions,
@@ -421,74 +490,123 @@ impl Warehouse {
         predicted: Option<&[f64]>,
     ) -> CoreResult<ExecutionReport> {
         let mut report = ExecutionReport::default();
-        for (idx, stage, expr) in items {
-            if let Some(w) = wal {
-                if last_stage != Some(*stage) {
-                    w.append(&RecordBody::Stage(*stage))?;
+        for batch in batches {
+            if last_stage != Some(batch.stage) {
+                if let Some(w) = wal {
+                    w.append(&RecordBody::Stage(batch.stage))?;
+                }
+                last_stage = Some(batch.stage);
+            }
+            let _stage_span = (batch.exprs.len() > 1).then(|| {
+                let mut span =
+                    obs::span_dyn(obs::SpanKind::Stage, || format!("stage {}", batch.stage));
+                span.attr_u64(obs::keys::STAGE, batch.stage as u64);
+                span
+            });
+            let mut comps = Vec::new();
+            let mut insts = Vec::new();
+            for (idx, e) in &batch.exprs {
+                match e {
+                    UpdateExpr::Comp { view, over } => comps.push((*idx, e, *view, over)),
+                    UpdateExpr::Inst(view) => insts.push((*idx, e, *view)),
                 }
             }
-            last_stage = Some(*stage);
-            let mut span = {
-                let g = self.vdag();
-                obs::span_dyn(obs::SpanKind::Expression, || expr.display(g).to_string())
-            };
-            if span.is_recording() {
-                expr_attrs(&mut span, self.vdag(), expr);
-                if let Some(p) = predicted.and_then(|p| p.get(*idx)) {
-                    span.attr_f64(obs::keys::PREDICTED_WORK, *p);
+
+            // Log-ahead intent for every Comp before any of them runs.
+            let mut walls = Vec::with_capacity(comps.len());
+            for &(idx, ..) in &comps {
+                let t0 = Instant::now();
+                if let Some(w) = wal {
+                    w.append(&RecordBody::CompStart(idx))?;
                 }
+                walls.push(t0.elapsed());
             }
-            let start_meter = *self.meter();
-            let t0 = Instant::now();
-            let installed = match expr {
-                UpdateExpr::Comp { view, over } => {
-                    self.exec_comp_journaled(
-                        *view,
-                        over,
-                        *idx,
-                        wal,
-                        topts,
-                        scache.map(|c| (c, *idx)),
-                    )?;
-                    None
+            let this: &Warehouse = self;
+            let parent = obs::current_span_id();
+            let computed = pool::run_tasks(comps.len(), pool::cores(), true, |i| {
+                let (idx, expr, view, over) = comps[i];
+                let mut span = expr_span(this.vdag(), parent, idx, expr, predicted);
+                let t0 = Instant::now();
+                let out = comp_fragment(this, view, over, topts, scache.map(|c| (c, idx)))?;
+                meter_attrs(&mut span, &out.2);
+                Ok::<_, CoreError>((out, t0.elapsed()))
+            });
+            for ((&(idx, expr, ..), start_wall), result) in comps.iter().zip(walls).zip(computed) {
+                let ((name, fragment, meter), compute_wall) = result?;
+                let t0 = Instant::now();
+                if let Some(w) = wal {
+                    let payload = encode_pending(&fragment);
+                    w.append(&RecordBody::CompDone {
+                        idx,
+                        digest: digest64(&payload),
+                        payload,
+                    })?;
                 }
-                UpdateExpr::Inst(view) => Some(self.exec_inst_journaled(*view, *idx, wal)?),
-            };
-            // Drop strategy-cache entries this expression invalidated —
-            // the same liveness walk the static plan performed. An `Inst`
-            // that installed zero rows left every operand bit-identical, so
-            // its entries stay: consumption is directive-driven, so the lax
-            // retention can never serve an unplanned hit — it only lets more
-            // entries survive into a cross-window harvest.
-            if let Some(c) = scache {
-                if installed != Some(0) {
+                let before = *self.meter();
+                self.merge_fragment(&name, fragment)?;
+                let total = self.meter_mut();
+                total.comp_expressions += 1;
+                share::fold_term_meter(total, &meter);
+                // Drop strategy-cache entries this expression invalidated —
+                // the same liveness walk the static plan performed.
+                if let Some(c) = scache {
                     c.invalidate_after(self.vdag(), expr);
                 }
+                report.per_expr.push(ExprReport {
+                    expr: expr.clone(),
+                    work: self.meter().since(&before),
+                    wall: start_wall + compute_wall + t0.elapsed(),
+                    replayed: false,
+                });
             }
-            let work = self.meter().since(&start_meter);
-            meter_attrs(&mut span, &work);
-            drop(span);
-            report.per_expr.push(ExprReport {
-                expr: expr.clone(),
-                work,
-                wall: t0.elapsed(),
-                replayed: false,
-            });
+
+            for &(idx, expr, view) in &insts {
+                let mut span = expr_span(self.vdag(), obs::current_span_id(), idx, expr, predicted);
+                let before = *self.meter();
+                let t0 = Instant::now();
+                if let Some(w) = wal {
+                    w.append(&RecordBody::InstStart(idx))?;
+                }
+                let installed = self.exec_inst(view)?;
+                if let Some(w) = wal {
+                    let post_digest = table_digest(self.table(self.vdag().name(view))?);
+                    w.append(&RecordBody::InstDone {
+                        idx,
+                        delta_len: installed,
+                        post_digest,
+                    })?;
+                }
+                // An `Inst` that installed zero rows left every operand
+                // bit-identical, so its entries stay: consumption is
+                // directive-driven, so the lax retention can never serve an
+                // unplanned hit — it only lets more entries survive into a
+                // cross-window harvest.
+                if let Some(c) = scache {
+                    if installed != 0 {
+                        c.invalidate_after(self.vdag(), expr);
+                    }
+                }
+                let work = self.meter().since(&before);
+                meter_attrs(&mut span, &work);
+                drop(span);
+                report.per_expr.push(ExprReport {
+                    expr: expr.clone(),
+                    work,
+                    wall: t0.elapsed(),
+                    replayed: false,
+                });
+            }
         }
         Ok(report)
     }
 
     /// Snapshots the warehouse into a fresh WAL directory and writes the
-    /// manifest for the staged strategy (canonical execution order).
+    /// manifest for `batches` (manifest index order).
     ///
     /// Fails if any derived view already has an in-flight delta: the WAL
     /// journals a whole update window, so it must start from a clean batch
     /// of base-view changes.
-    pub(crate) fn wal_begin(
-        &self,
-        cfg: &WalConfig,
-        staged: &[(usize, &UpdateExpr)],
-    ) -> CoreResult<WalWriter> {
+    fn wal_begin(&self, cfg: &WalConfig, batches: &[Batch]) -> CoreResult<WalWriter> {
         let mut changes = BTreeMap::new();
         for (name, p) in self.pending_map() {
             let id = self.vdag().id_of(name)?;
@@ -511,69 +629,16 @@ impl Warehouse {
             changes_digest: digest64(&changes_text),
             fsync: cfg.fsync,
             ctx: cfg.ctx.clone(),
-            exprs: staged
+            exprs: batches
                 .iter()
-                .map(|(stage, e)| ManifestExpr::from_expr(self.vdag(), *stage, e))
+                .flat_map(|b| {
+                    b.exprs
+                        .iter()
+                        .map(|(_, e)| ManifestExpr::from_expr(self.vdag(), b.stage, e))
+                })
                 .collect(),
         };
         WalWriter::create(cfg, &manifest, &state_text, &changes_text)
-    }
-
-    /// Executes `Comp(view, over)`: computes the fragment against the
-    /// current state and folds it into the view's pending delta. With a WAL
-    /// attached, the fragment is journaled *before* the merge (log-ahead),
-    /// so a `CD` record guarantees the fragment is durably reproducible.
-    pub(crate) fn exec_comp_journaled(
-        &mut self,
-        view: ViewId,
-        over: &BTreeSet<ViewId>,
-        idx: usize,
-        wal: &mut Option<WalWriter>,
-        topts: TermOptions,
-        scache: Option<(&share::StrategyCache, usize)>,
-    ) -> CoreResult<()> {
-        if let Some(w) = wal {
-            w.append(&RecordBody::CompStart(idx))?;
-        }
-        let (name, fragment, meter) = comp_fragment(self, view, over, topts, scache)?;
-        if let Some(w) = wal {
-            let payload = encode_pending(&fragment);
-            w.append(&RecordBody::CompDone {
-                idx,
-                digest: digest64(&payload),
-                payload,
-            })?;
-        }
-        self.merge_fragment(&name, fragment)?;
-        let total = self.meter_mut();
-        total.comp_expressions += 1;
-        share::fold_term_meter(total, &meter);
-        Ok(())
-    }
-
-    /// Executes `Inst(view)` between its `IS`/`ID` records. The `ID` record
-    /// carries the installed row count and a digest of the view's new
-    /// extent, which recovery verifies after redoing the install.
-    pub(crate) fn exec_inst_journaled(
-        &mut self,
-        view: ViewId,
-        idx: usize,
-        wal: &mut Option<WalWriter>,
-    ) -> CoreResult<u64> {
-        if let Some(w) = wal {
-            w.append(&RecordBody::InstStart(idx))?;
-        }
-        let len = self.exec_inst(view)?;
-        if let Some(w) = wal {
-            let name = self.vdag().name(view).to_string();
-            let post_digest = uww_relational::table_digest(self.table(&name)?);
-            w.append(&RecordBody::InstDone {
-                idx,
-                delta_len: len,
-                post_digest,
-            })?;
-        }
-        Ok(len)
     }
 
     /// Folds a computed fragment into `view`'s pending accumulator.
@@ -598,9 +663,8 @@ impl Warehouse {
     /// delta is pending, e.g. an unchanged base view). Returns the number of
     /// delta rows installed.
     ///
-    /// This is the single funnel through which *every* executor path installs
-    /// (`execute_with` and the threaded parallel executor both reach it), so
-    /// an attached [`InstallPublisher`](crate::engine::publish::InstallPublisher)
+    /// This is the single funnel through which *every* install goes (the
+    /// run loop and recovery replay both reach it), so an attached [`InstallPublisher`](crate::engine::publish::InstallPublisher)
     /// sees every install and publishes the new extent to online readers.
     pub(crate) fn exec_inst(&mut self, view: ViewId) -> CoreResult<u64> {
         let name = self.vdag().name(view).to_string();
@@ -643,6 +707,28 @@ pub(crate) fn expr_attrs(span: &mut obs::Span, g: &uww_vdag::Vdag, expr: &Update
     span.attr_str(obs::keys::VIEW, g.name(view));
 }
 
+/// Opens the span of expression `idx` under `parent` (worker threads do not
+/// inherit the spawner's span stack), with its static attributes and the
+/// planner's predicted work when known.
+fn expr_span(
+    g: &Vdag,
+    parent: u64,
+    idx: usize,
+    expr: &UpdateExpr,
+    predicted: Option<&[f64]>,
+) -> obs::Span {
+    let mut span = obs::span_under_dyn(obs::SpanKind::Expression, parent, || {
+        expr.display(g).to_string()
+    });
+    if span.is_recording() {
+        expr_attrs(&mut span, g, expr);
+        if let Some(p) = predicted.and_then(|p| p.get(idx)) {
+            span.attr_f64(obs::keys::PREDICTED_WORK, *p);
+        }
+    }
+    span
+}
+
 /// Attaches a `WorkMeter` delta to a span as the standard measured-work
 /// attributes (the full logical/physical split plus the paper's linear
 /// metric under [`obs::keys::MEASURED_WORK`]).
@@ -682,8 +768,8 @@ pub(crate) fn term_label(subset: &BTreeSet<String>) -> String {
 /// an empty pending delta are skipped (footnote 5 of the paper), costing
 /// nothing — for *every* strategy alike.
 ///
-/// Pure over `&Warehouse`, so independent `Comp` expressions of one parallel
-/// stage can run on separate threads (Section 9).
+/// Pure over `&Warehouse`, so the `Comp`s of one batch — a parallel stage
+/// (Section 9) — can run on separate threads.
 ///
 /// With `topts.share` the surviving terms evaluate through a per-`Comp`
 /// [`share::OperandCache`] (optionally across `topts.threads` workers);
@@ -692,8 +778,8 @@ pub(crate) fn term_label(subset: &BTreeSet<String>) -> String {
 /// only the physical counters differ.
 /// `scache` attaches the strategy-scope cache together with this
 /// expression's strategy position (for its planned directives); only the
-/// shared path consults it — the per-term baseline, the parallel stage
-/// executor, and recovery replay all pass `None`.
+/// shared path consults it — the per-term baseline, staged runs, and
+/// recovery all run without one.
 pub(crate) fn comp_fragment(
     w: &Warehouse,
     view: ViewId,
@@ -961,6 +1047,49 @@ mod tests {
         // A correct strategy still passes with the analyzer on.
         let good = strategy_1way_rs(&w);
         w.execute_with(&good, opts).unwrap();
+    }
+
+    #[test]
+    fn strategy_sharing_without_term_sharing_is_refused() {
+        let mut w = warehouse_with_changes();
+        let strategy = strategy_1way_rs(&w);
+        let opts = ExecOptions {
+            term_sharing: false,
+            strategy_sharing: true,
+            ..ExecOptions::default()
+        };
+        let err = w.execute_with(&strategy, opts).unwrap_err();
+        assert!(matches!(err, CoreError::IncompatibleOptions(_)), "{err}");
+        // A carried window forces strategy sharing on, so it is refused the
+        // same way.
+        let opts = ExecOptions {
+            term_sharing: false,
+            ..ExecOptions::default()
+        };
+        let err = w
+            .execute_carried(&strategy, opts, share::WindowCarry::empty())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::IncompatibleOptions(_)), "{err}");
+        // Nothing ran.
+        assert_eq!(w.meter().comp_expressions, 0);
+        assert_eq!(w.meter().rows_installed, 0);
+    }
+
+    #[test]
+    fn staged_strategy_sharing_is_refused() {
+        let mut w = warehouse_with_changes();
+        let expected = w.expected_final_state().unwrap();
+        let p = crate::parallel::parallelize(w.vdag(), &strategy_dual_stage(&w));
+        let opts = ExecOptions {
+            strategy_sharing: true,
+            ..ExecOptions::default()
+        };
+        let err = w.execute_staged(&p, opts).unwrap_err();
+        assert!(matches!(err, CoreError::IncompatibleOptions(_)), "{err}");
+        assert_eq!(w.meter().comp_expressions, 0);
+        // Without strategy sharing the same schedule runs.
+        w.execute_staged(&p, ExecOptions::default()).unwrap();
+        assert!(w.diff_state(&expected).is_empty());
     }
 
     #[test]

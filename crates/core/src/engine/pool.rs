@@ -10,13 +10,15 @@
 //! happened to be small drains its deque and takes over the straggler's
 //! remaining chunks instead of idling at the barrier.
 //!
-//! The pool is deliberately scoped and ephemeral (`std::thread::scope`, no
-//! global executor): a `Comp` term already runs inside the term-thread
-//! scope of `eval_terms_shared`, and nested scoped pools compose without a
+//! It is the engine's only thread fan-out, used at three nesting levels:
+//! the `Comp`s of one parallel stage, the terms of one `Comp`
+//! (`term_threads`), and the partitions of one join or aggregate step. The
+//! pool is deliberately scoped and ephemeral (`std::thread::scope`, no
+//! global executor), so the nested fan-outs compose without a
 //! shared-runtime deadlock surface.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Partition-parallel execution knobs, threaded from the CLI through
 /// [`ExecOptions`](crate::engine::exec::ExecOptions) into the term engine.
@@ -64,9 +66,16 @@ impl PartitionOptions {
     /// on a smaller machine the same partitions run on fewer workers with
     /// identical results (the differential tests rely on this).
     pub fn workers(&self, n: usize) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        self.partitions.min(n).min(cores).max(1)
+        self.partitions.min(n).min(cores()).max(1)
     }
+}
+
+/// The machine's available parallelism (1 when it cannot be queried),
+/// queried once: on Linux the query reads cgroup files, and the run loop
+/// asks once per batch.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
 }
 
 /// Runs tasks `0..n` via `f` on `workers` scoped threads with optional

@@ -5,10 +5,10 @@
 //! has an [`InstallPublisher`] attached, every completed `Inst(V)` atomically
 //! publishes the view's new extent as a fresh catalog version, so concurrent
 //! readers move from the pre-install extent to the post-install extent with
-//! nothing in between. The publisher is the single funnel through which both
-//! the sequential executor and the threaded parallel executor make installs
-//! visible — parallel stages install at stage boundaries on the coordinating
-//! thread, so they flow through the exact same path.
+//! nothing in between. The publisher is the single funnel through which the
+//! run loop makes installs visible, for sequential and staged runs alike —
+//! parallel stages install at stage boundaries on the coordinating thread,
+//! so they flow through the exact same path.
 
 use crate::error::CoreResult;
 use std::sync::Arc;

@@ -288,11 +288,6 @@ pub(crate) struct StrategyCache {
 }
 
 impl StrategyCache {
-    /// A cache primed with the plan's per-expression directives.
-    pub(crate) fn new(directives: Vec<CompCacheDirectives>) -> StrategyCache {
-        StrategyCache::with_carry(directives, WindowCarry::empty())
-    }
-
     /// A cache primed with the plan's directives plus the previous window's
     /// surviving entries (flagged so carried hits are counted separately).
     pub(crate) fn with_carry(
@@ -1224,53 +1219,24 @@ pub(crate) fn eval_terms_shared(
         sp.attr_u64(obs::keys::PREDICTED_CACHED_READS, cache.plan.cached_reads);
         (cache, meter)
     };
-    let workers = topts.threads.min(terms.len());
     // Worker threads do not inherit the spawner's span stack; parent every
     // term span to the enclosing expression span explicitly.
     let parent = obs::current_span_id();
-    let eval_one = |subset: &BTreeSet<String>| {
+    // Without stealing, worker k takes terms k, k+W, k+2W, … and results
+    // come back in term order, so the merged fragment and meter are
+    // independent of scheduling.
+    let results = pool::run_tasks(terms.len(), topts.threads, false, |i| {
+        let subset = &terms[i];
         let mut span = obs::span_under_dyn(obs::SpanKind::Term, parent, || term_label(subset));
         let mut meter = WorkMeter::new();
         let out = eval_term_cached(def, &cache, subset, &mut meter);
         meter_attrs(&mut span, &meter);
         out.map(|out| (meter, out))
-    };
-    let mut results: Vec<Option<CoreResult<(WorkMeter, TermOut)>>> = if workers > 1 {
-        // Mirror execute_parallel_threaded: scoped workers over a shared
-        // read-only warehouse/cache. Worker k takes terms k, k+W, k+2W, …
-        // and results are re-assembled in term order, so the merged
-        // fragment and meter are independent of scheduling.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let eval_one = &eval_one;
-                    scope.spawn(move || {
-                        terms
-                            .iter()
-                            .enumerate()
-                            .skip(worker)
-                            .step_by(workers)
-                            .map(|(i, subset)| (i, eval_one(subset)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<CoreResult<(WorkMeter, TermOut)>>> =
-                (0..terms.len()).map(|_| None).collect();
-            for h in handles {
-                for (i, r) in h.join().expect("term worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-            slots
-        })
-    } else {
-        terms.iter().map(|subset| Some(eval_one(subset))).collect()
-    };
+    });
 
     let mut outs = Vec::with_capacity(results.len());
-    for r in results.drain(..) {
-        let (meter, out) = r.expect("every term evaluated")?;
+    for r in results {
+        let (meter, out) = r?;
         fold_term_meter(&mut total, &meter);
         outs.push(out);
     }
@@ -1279,7 +1245,7 @@ pub(crate) fn eval_terms_shared(
 
 /// Folds the counters a `Comp` contributes to the warehouse meter —
 /// deliberately not `rows_installed` or the expression counts, which the
-/// install funnel and `exec_comp_journaled` own.
+/// install funnel and the run loop own.
 pub(crate) fn fold_term_meter(total: &mut WorkMeter, m: &WorkMeter) {
     total.operand_rows_scanned += m.operand_rows_scanned;
     total.rows_emitted += m.rows_emitted;
@@ -1394,11 +1360,6 @@ impl StrategySharingPlan {
     /// build-avoidance quantity the shared planner objective prices.
     pub fn cross_saved_rows(&self) -> u64 {
         self.exprs.iter().map(|e| e.plan.cross_saved_rows).sum()
-    }
-
-    /// A runtime cache primed with this plan's directives.
-    pub(crate) fn cache(&self) -> StrategyCache {
-        StrategyCache::new(self.directives.clone())
     }
 
     /// A runtime cache primed with this plan's directives plus the previous

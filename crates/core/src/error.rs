@@ -15,6 +15,11 @@ pub enum CoreError {
     Vdag(VdagError),
     /// Warehouse-level misconfiguration.
     Warehouse(String),
+    /// The [`ExecOptions`](crate::ExecOptions) ask for a combination the
+    /// executor cannot honour (e.g. strategy sharing without term sharing,
+    /// or strategy sharing on a staged run), so it refuses to run rather
+    /// than silently drop one of them.
+    IncompatibleOptions(String),
     /// A planner precondition failed.
     Planner(String),
     /// The static strategy analyzer refused the strategy
@@ -47,6 +52,7 @@ impl fmt::Display for CoreError {
             CoreError::Rel(e) => write!(f, "relational: {e}"),
             CoreError::Vdag(e) => write!(f, "vdag: {e}"),
             CoreError::Warehouse(d) => write!(f, "warehouse: {d}"),
+            CoreError::IncompatibleOptions(d) => write!(f, "options: {d}"),
             CoreError::Planner(d) => write!(f, "planner: {d}"),
             CoreError::Analysis(r) => {
                 write!(f, "analysis: strategy refused\n{}", r.render_text())

@@ -33,6 +33,7 @@ use uww_obs as obs;
 use uww_relational::{catalog_from_str, deltas_from_str, table_digest};
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr};
 
+use crate::engine::exec::Batch;
 use crate::engine::{ExecutionReport, ExprReport, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use crate::wal::{decode_pending, RecordBody, WalConfig, WalLog, WalWriter, MANIFEST_FILE};
@@ -277,7 +278,7 @@ pub fn recover_with(
     } else {
         Some(suffix_stage)
     };
-    let items: Vec<(usize, usize, UpdateExpr)> = suffix
+    let batches: Vec<Batch> = suffix
         .iter()
         .enumerate()
         .map(|(i, e)| {
@@ -287,16 +288,19 @@ pub fn recover_with(
             } else {
                 suffix_stage
             };
-            (idx, stage, e.clone())
+            Batch {
+                stage,
+                exprs: vec![(idx, e.clone())],
+            }
         })
         .collect();
-    let resumed = items.len();
-    // Resumed expressions run with the default term engine (shared,
-    // inline): the fragment bytes and logical meter are independent of the
-    // engine choice, so replay digests verify regardless of the options the
-    // crashed run used.
-    let fresh = w.run_exprs_journaled(
-        &items,
+    let resumed = batches.len();
+    // Resumed expressions run one at a time with the default term engine
+    // (shared, inline): the fragment bytes and logical meter are independent
+    // of the engine choice, so replay digests verify regardless of the
+    // options the crashed run used.
+    let fresh = w.run_batches(
+        &batches,
         last_stage,
         &mut wal,
         crate::engine::exec::ExecOptions::default().term_options(),

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example parallel_update`
 
 use uww::core::{
-    flatten_def, makespan, min_work, parallelize, total_work, CostModel, SizeCatalog, Warehouse,
+    flatten_def, makespan, min_work, parallelize, total_work, CostModel, ExecOptions, SizeCatalog,
+    Warehouse,
 };
 use uww::relational::{
     AggFunc, AggregateColumn, OutputColumn, Predicate, ScalarExpr, Value, ViewDef, ViewOutput,
@@ -53,11 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_work(&model, &p_dual) / total_work(&model, &p_one_way)
     );
 
-    // Both parallel schedules still produce the correct state.
+    // Both parallel schedules, run stage by stage on real threads, still
+    // produce the correct state.
     for p in [&p_one_way, &p_dual] {
         let mut w = sc.warehouse.clone();
         let expected = w.expected_final_state()?;
-        w.execute_parallel(p)?;
+        w.execute_staged(p, ExecOptions::default())?;
         assert!(w.diff_state(&expected).is_empty());
     }
     println!("Both parallel schedules verified against a from-scratch rebuild.");

@@ -752,15 +752,11 @@ fn check_conformance(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn conformance_json(c: &Conformance) -> String {
     let divs: Vec<String> = c
         .divergences
         .iter()
-        .map(|d| format!("\"{}\"", json_escape(d)))
+        .map(|d| format!("\"{}\"", uww::obs::json::escape(d)))
         .collect();
     format!(
         "{{\"expressions\":{},\"ok\":{},\"divergences\":[{}]}}",
@@ -1673,5 +1669,24 @@ fn main() -> ExitCode {
             eprintln!("error: {e}\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn conformance_json_escapes_divergences_and_parses_back() {
+        let nasty = "quote \" backslash \\ newline \n control \u{1} end";
+        let c = Conformance {
+            expressions: 3,
+            divergences: vec![nasty.to_string(), "plain".to_string()],
+        };
+        let v = uww::obs::json::parse(&conformance_json(&c)).expect("valid JSON");
+        assert_eq!(v.get("expressions").and_then(|e| e.as_f64()), Some(3.0));
+        let divs = v.get("divergences").and_then(|d| d.as_array()).unwrap();
+        let divs: Vec<&str> = divs.iter().map(|d| d.as_str().unwrap()).collect();
+        assert_eq!(divs, [nasty, "plain"]);
     }
 }

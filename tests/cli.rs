@@ -64,6 +64,25 @@ fn run_executes_and_verifies() {
 }
 
 #[test]
+fn strategy_sharing_without_term_sharing_is_refused() {
+    let o = uww(&[
+        &[
+            "run",
+            "--scenario",
+            "q3",
+            "--frac",
+            "0.1",
+            "--no-term-sharing",
+            "--strategy-sharing",
+        ],
+        SMALL,
+    ]
+    .concat());
+    assert!(!o.status.success(), "the run must be refused");
+    assert!(stderr(&o).contains("strategy sharing requires term sharing"));
+}
+
+#[test]
 fn script_emits_sql() {
     let o = uww(&[&["script", "--scenario", "q3", "--frac", "0.1"], SMALL].concat());
     assert!(o.status.success(), "{}", stderr(&o));

@@ -9,10 +9,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use uww::core::wal::{ManifestExpr, RecordBody};
 use uww::core::{
     all_one_way_vdag_strategies, canonical_stage_order, parallelize, recover, recover_with,
-    CoreError, ExecOptions, FaultPlan, FsyncPolicy, PartitionOptions, SizeCatalog, WalConfig,
-    WalLog, Warehouse,
+    CoreError, ExecOptions, FaultPlan, FsyncPolicy, ParallelStrategy, PartitionOptions,
+    SizeCatalog, WalConfig, WalLog, Warehouse,
 };
 use uww::relational::{
     catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
@@ -458,10 +459,8 @@ fn interior_corruption_is_refused_with_a_typed_error() {
 // Threaded executor crashes
 // ---------------------------------------------------------------------------
 
-/// Crashing the threaded parallel executor at every record boundary and
-/// recovering **sequentially** reproduces the clean threaded run exactly.
-#[test]
-fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
+/// The q3 scenario with its MinWork strategy parallelized into stages.
+fn q3_staged() -> (TpcdScenario, ParallelStrategy) {
     let mut sc = TpcdScenario::builder()
         .scale(0.0003)
         .base_views(&["CUSTOMER", "ORDER", "LINEITEM"])
@@ -472,14 +471,105 @@ fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
     let sizes = SizeCatalog::estimate(&sc.warehouse).unwrap();
     let plan = uww::core::min_work(sc.warehouse.vdag(), &sizes).unwrap();
     let p = parallelize(sc.warehouse.vdag(), &plan.strategy);
+    (sc, p)
+}
+
+/// Runs `p` threaded and journaled on a clone of `w` and checks the record
+/// stream: per stage `STG`, then `CS` for every `Comp`, then `CD` for every
+/// `Comp`, then `IS`/`ID` for each `Inst`, with manifest indices in
+/// [`canonical_stage_order`]; the run ends with `COMMIT`.
+fn assert_staged_record_stream(w: &Warehouse, p: &ParallelStrategy, tag: &str) {
+    let dir = wal_dir(tag);
+    let mut run = w.clone();
+    run.execute_staged(p, wal_opts(cfg(&dir))).unwrap();
+    let log = WalLog::open(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let g = w.vdag();
+    let manifest: Vec<(usize, String)> = log
+        .manifest
+        .exprs
+        .iter()
+        .map(|m| (m.stage, m.wire.clone()))
+        .collect();
+    let canonical: Vec<(usize, String)> = canonical_stage_order(p)
+        .iter()
+        .map(|(s, e)| {
+            let m = ManifestExpr::from_expr(g, *s, e);
+            (m.stage, m.wire)
+        })
+        .collect();
+    assert_eq!(manifest, canonical, "manifest must follow the stage order");
+
+    let mut expected = vec!["BEGIN".to_string()];
+    let mut idx = 0;
+    for (si, stage) in p.stages.iter().enumerate() {
+        let comps = stage
+            .iter()
+            .filter(|e| matches!(e, UpdateExpr::Comp { .. }))
+            .count();
+        expected.push(format!("STG {si}"));
+        expected.extend((idx..idx + comps).map(|i| format!("CS {i}")));
+        expected.extend((idx..idx + comps).map(|i| format!("CD {i}")));
+        for i in idx + comps..idx + stage.len() {
+            expected.push(format!("IS {i}"));
+            expected.push(format!("ID {i}"));
+        }
+        idx += stage.len();
+    }
+    expected.push("COMMIT".to_string());
+    let actual: Vec<String> = log
+        .records
+        .iter()
+        .map(|r| match &r.body {
+            RecordBody::Stage(s) => format!("STG {s}"),
+            RecordBody::CompStart(i) => format!("CS {i}"),
+            RecordBody::CompDone { idx, .. } => format!("CD {idx}"),
+            RecordBody::InstStart(i) => format!("IS {i}"),
+            RecordBody::InstDone { idx, .. } => format!("ID {idx}"),
+            other => other.tag().to_string(),
+        })
+        .collect();
+    assert_eq!(actual, expected);
+}
+
+/// Pins the staged WAL record stream on the q3 fixture and on a random
+/// warehouse whose dual-stage schedule runs several `Comp`s in one stage.
+#[test]
+fn staged_wal_records_follow_the_canonical_stage_order() {
+    let (sc, p) = q3_staged();
+    assert_staged_record_stream(&sc.warehouse, &p, "stream-q3");
+
+    let mut rng = SplitMix64::new(0);
+    let (w, p) = (0u64..64)
+        .find_map(|seed| {
+            let (mut w, changes) = random_warehouse(seed);
+            w.load_changes(changes).unwrap();
+            let dual = random_strategies(&w, &mut rng, 0).pop()?;
+            let p = parallelize(w.vdag(), &dual);
+            let wide = p.stages.iter().any(|s| {
+                s.iter()
+                    .filter(|e| matches!(e, UpdateExpr::Comp { .. }))
+                    .count()
+                    >= 2
+            });
+            wide.then_some((w, p))
+        })
+        .expect("some seed yields a stage with several Comps");
+    assert_staged_record_stream(&w, &p, "stream-wide");
+}
+
+/// Crashing the threaded parallel executor at every record boundary and
+/// recovering **sequentially** reproduces the clean threaded run exactly.
+#[test]
+fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
+    let (sc, p) = q3_staged();
     assert!(p.stages.len() > 1, "want a genuinely staged strategy");
 
     // Clean threaded run (journaled, no faults): the reference catalog.
     let dir = wal_dir("thr-ref");
     let mut clean = sc.warehouse.clone();
-    clean
-        .execute_parallel_threaded_with(&p, wal_opts(cfg(&dir)))
-        .unwrap();
+    clean.execute_staged(&p, wal_opts(cfg(&dir))).unwrap();
     let expected = catalog_to_string(clean.state());
     let total = WalLog::open(&dir).unwrap().records.len() as u64;
     std::fs::remove_dir_all(&dir).unwrap();
@@ -497,7 +587,7 @@ fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
         let dir = wal_dir(&format!("thr-k{k}"));
         let mut crashed = sc.warehouse.clone();
         let err = crashed
-            .execute_parallel_threaded_with(
+            .execute_staged(
                 &p,
                 wal_opts(cfg(&dir).with_faults(FaultPlan::crash_before(k))),
             )

@@ -299,7 +299,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
                 let g = w.vdag();
                 let static_clean = !analyze_interference(g, &p.stages).has_errors();
                 let mut threaded = loaded(&w, &changes);
-                let dynamic = threaded.execute_parallel_threaded(&p);
+                let dynamic = threaded.execute_staged(&p, ExecOptions::default());
                 match dynamic {
                     Err(_) => {
                         rejected += 1;
@@ -317,7 +317,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
                         // match sequential execution byte for byte.
                         if static_clean {
                             let mut seq = loaded(&w, &changes);
-                            seq.execute_parallel(&p).unwrap();
+                            seq.execute(&p.linearize()).unwrap();
                             assert_eq!(
                                 catalog_to_string(seq.state()),
                                 catalog_to_string(threaded.state()),
@@ -352,8 +352,8 @@ fn uww014_clean_schedules_run_threaded_byte_identical_with_term_threads() {
             // byte-identical to the sequential linearization.
             let mut seq = loaded(&w, &changes);
             let mut par = loaded(&w, &changes);
-            seq.execute_parallel(&p).unwrap();
-            par.execute_parallel_threaded_with(
+            seq.execute(&p.linearize()).unwrap();
+            par.execute_staged(
                 &p,
                 ExecOptions {
                     term_threads: 3,
