@@ -41,11 +41,12 @@ pub struct ExecOptions {
     /// Share operand materializations and hash-join build tables *across*
     /// expressions through a strategy-scope cache (default: off). Requires
     /// `term_sharing` and a sequential run — otherwise the run is refused
-    /// with [`CoreError::IncompatibleOptions`]. Invalidation follows the
-    /// `UWW012` liveness predicate, so deltas, WAL bytes, and the logical
-    /// meter are byte-identical to per-`Comp` caching — only
-    /// `physical_rows_touched`, `hash_tables_cross_reused`, and
-    /// `operand_reads_cached` move.
+    /// with [`CoreError::IncompatibleOptions`]. The cache decides each
+    /// `Comp`'s consume/publish directives as the strategy executes, and
+    /// invalidation follows the `UWW012` liveness predicate, so deltas, WAL
+    /// bytes, and the logical meter are byte-identical to per-`Comp` caching
+    /// — only `physical_rows_touched`, `hash_tables_built`/`_reused`,
+    /// `hash_tables_cross_reused`, and `operand_reads_cached` move.
     pub strategy_sharing: bool,
     /// Planner-predicted linear work per expression, in execution (manifest)
     /// order — attached to expression spans when tracing is enabled so
@@ -198,10 +199,12 @@ impl ExecutionReport {
 
 /// Predicted-vs-measured sharing counters for one carried window.
 ///
-/// Every quantity is fixed statically by the seeded liveness walk before the
-/// window runs; [`exact`](CarryConformance::exact) holding is therefore a
-/// *proof obligation* on the executor, not a tuning metric — continuous-mode
-/// tests assert it for every window of every seeded stream.
+/// Each predicted quantity is the sum of the per-`Comp` plans the strategy
+/// cache's seeded liveness walk fixes before that `Comp`'s terms run; the
+/// measured ones come from the meter and from the carried entries that
+/// actually served a use. [`exact`](CarryConformance::exact) holding is
+/// therefore a *proof obligation* on the executor, not a tuning metric —
+/// continuous-mode tests assert it for every window of every seeded stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CarryConformance {
     /// Cross-expression hash-table reuses the seeded plan predicted.
@@ -349,9 +352,10 @@ impl Warehouse {
 
     /// The prologue and epilogue every entry point shares around
     /// [`Warehouse::run_batches`]: option checks, analysis and validation,
-    /// the WAL manifest, the strategy-sharing plan (seeded with `carry` when
+    /// the WAL manifest, the strategy cache (seeded with `carry` when
     /// given); then the commit record, the conformance counters and, for a
-    /// carried window, the harvest.
+    /// carried window, the harvest. Nothing executes the strategy ahead of
+    /// the run: the cache decides each `Comp`'s directives as it runs.
     fn run(
         &mut self,
         schedule: Schedule<'_>,
@@ -369,7 +373,7 @@ impl Warehouse {
         if strategy_sharing && staged {
             return Err(CoreError::IncompatibleOptions(
                 "strategy sharing cannot run staged: its consume/publish directives are \
-                 planned for one expression at a time"
+                 decided one expression at a time"
                     .into(),
             ));
         }
@@ -404,30 +408,14 @@ impl Warehouse {
             Some(cfg) => Some(self.wal_begin(cfg, &batches)?),
             None => None,
         };
-        // Strategy-scope sharing is planned statically before anything runs:
-        // the directives fix exactly which keyed builds cross expression
-        // boundaries, so measured cross counters equal the plan.
-        let mut conformance = CarryConformance::default();
         let scache = if strategy_sharing {
             // A carry built at a different partition count cannot seed this
             // window: its tables are split differently than this run's
             // probes, so serving one would be a cross-partition stale hit.
-            // Drop it *before* planning, so the plan and the runtime cache
-            // agree.
             let carry = carry
                 .filter(|c| c.partitions() == opts.partition.partitions)
                 .unwrap_or_default();
-            // The seeded plan starts its liveness walk from the carried
-            // entries, so the front of the strategy can consume the previous
-            // window's builds; seeding the runtime cache with the *same*
-            // carry makes measured and predicted counters equal by
-            // construction.
-            let plan = share::plan_strategy_sharing_carried(self, &linear, &carry)?;
-            conformance.predicted_cross_reuses = plan.cross_reuses();
-            conformance.predicted_cached_reads = plan.cached_reads();
-            conformance.predicted_carried_table_hits = plan.carried_table_hits;
-            conformance.predicted_carried_raw_hits = plan.carried_raw_hits;
-            Some(plan.cache_with(carry))
+            Some(share::StrategyCache::new(self, &linear, carry)?)
         } else {
             None
         };
@@ -452,14 +440,9 @@ impl Warehouse {
             w.append(&RecordBody::Commit)?;
         }
         let mut next = share::WindowCarry::empty();
+        let mut conformance = CarryConformance::default();
         if let Some(scache) = scache {
-            let measured = self.meter().since(&start_meter);
-            conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
-            conformance.measured_cached_reads = measured.operand_reads_cached;
-            (
-                conformance.measured_carried_table_hits,
-                conformance.measured_carried_raw_hits,
-            ) = scache.carried_hits();
+            conformance = scache.conformance(&self.meter().since(&start_meter));
             if carried {
                 next = scache.harvest(opts.partition.partitions);
             }
@@ -547,10 +530,8 @@ impl Warehouse {
                 let total = self.meter_mut();
                 total.comp_expressions += 1;
                 share::fold_term_meter(total, &meter);
-                // Drop strategy-cache entries this expression invalidated —
-                // the same liveness walk the static plan performed.
                 if let Some(c) = scache {
-                    c.invalidate_after(self.vdag(), expr);
+                    c.advance(self.vdag(), expr, false);
                 }
                 report.per_expr.push(ExprReport {
                     expr: expr.clone(),
@@ -576,15 +557,8 @@ impl Warehouse {
                         post_digest,
                     })?;
                 }
-                // An `Inst` that installed zero rows left every operand
-                // bit-identical, so its entries stay: consumption is
-                // directive-driven, so the lax retention can never serve an
-                // unplanned hit — it only lets more entries survive into a
-                // cross-window harvest.
                 if let Some(c) = scache {
-                    if installed != 0 {
-                        c.invalidate_after(self.vdag(), expr);
-                    }
+                    c.advance(self.vdag(), expr, installed == 0);
                 }
                 let work = self.meter().since(&before);
                 meter_attrs(&mut span, &work);
@@ -777,9 +751,9 @@ pub(crate) fn term_label(subset: &BTreeSet<String>) -> String {
 /// paths produce byte-identical fragments and identical logical meters —
 /// only the physical counters differ.
 /// `scache` attaches the strategy-scope cache together with this
-/// expression's strategy position (for its planned directives); only the
-/// shared path consults it — the per-term baseline, staged runs, and
-/// recovery all run without one.
+/// expression's strategy position (which its publish lookahead starts
+/// from); only the shared path consults it — the per-term baseline, staged
+/// runs, and recovery all run without one.
 pub(crate) fn comp_fragment(
     w: &Warehouse,
     view: ViewId,
@@ -1090,6 +1064,42 @@ mod tests {
         // Without strategy sharing the same schedule runs.
         w.execute_staged(&p, ExecOptions::default()).unwrap();
         assert!(w.diff_state(&expected).is_empty());
+    }
+
+    #[test]
+    fn strategy_sharing_plans_each_comp_once() {
+        // The strategy cache decides directives as the run goes: one
+        // `OperandCache::build` per `Comp`, and no replay of the strategy
+        // ahead of the run (which would build every `Comp` again).
+        let mut w = warehouse_with_changes();
+        let expected = w.expected_final_state().unwrap();
+        let strategy = strategy_1way_rs(&w);
+        let comps = strategy
+            .exprs
+            .iter()
+            .filter(|e| matches!(e, UpdateExpr::Comp { .. }))
+            .count();
+        let builds = || share::BUILD_CALLS.with(|c| c.get());
+        let before = builds();
+        let opts = ExecOptions {
+            strategy_sharing: true,
+            ..ExecOptions::default()
+        };
+        w.execute_with(&strategy, opts).unwrap();
+        assert_eq!(builds() - before, comps);
+        assert!(w.diff_state(&expected).is_empty());
+
+        let mut w = warehouse_with_changes();
+        let before = builds();
+        let out = w
+            .execute_carried(
+                &strategy,
+                ExecOptions::default(),
+                share::WindowCarry::empty(),
+            )
+            .unwrap();
+        assert_eq!(builds() - before, comps);
+        assert!(out.conformance.exact(), "{:?}", out.conformance);
     }
 
     #[test]

@@ -45,28 +45,31 @@
 //! build tables keyed by [`SharedIdentity`] survive from one expression to
 //! the next until an expression *modifies* the underlying operand —
 //! decided by `uww_analysis::modifies_operand`, the same liveness predicate
-//! the `UWW012` analyzer rule prices. Which keys consume an earlier table
-//! and which publish one for later expressions is fixed statically by
-//! [`plan_strategy_sharing`] (a lookahead over the replayed per-`Comp`
-//! plans), so the cross-expression counters are exact by construction and
+//! the `UWW012` analyzer rule prices. The cache decides each `Comp`'s
+//! directives as the strategy executes, inside [`OperandCache::build`] and
+//! against that `Comp`'s exact plan: a key whose identity a strict liveness
+//! walk holds live is *consumed*, a raw read it holds live is served from
+//! the cache, and any other key a later `Comp` could consume — judged from
+//! the later `Comp`s' view definitions alone — is *published*. Publishing
+//! that superset moves no counter, so the cross-expression counters equal
+//! [`plan_strategy_sharing`] (a replay oracle running the same walk), and
 //! the executed bytes never depend on cache state: equal identity over an
 //! unmodified operand means element-identical filtered rows, hence an
 //! interchangeable build table.
 
 use crate::engine::eval;
-use crate::engine::exec::{meter_attrs, term_label};
+use crate::engine::exec::{meter_attrs, term_label, CarryConformance};
 use crate::engine::pool::{self, PartitionOptions};
 use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use uww_obs as obs;
 use uww_relational::ops::{self, GroupAcc, PartitionedTable, Partitioner, SignedRows};
 use uww_relational::{
     BoundPredicate, Catalog, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter,
 };
-use uww_vdag::{Strategy, UpdateExpr, Vdag};
+use uww_vdag::{Strategy, UpdateExpr, Vdag, ViewId};
 
 /// How a `Comp`'s term set is evaluated.
 #[derive(Clone, Copy, Debug)]
@@ -91,6 +94,13 @@ impl Default for TermOptions {
             partition: PartitionOptions::default(),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`OperandCache::build`] calls made on this thread, so unit tests can
+    /// pin how often a run plans its `Comp`s.
+    pub(crate) static BUILD_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// One materialized operand: the filtered rows every term sees, plus the
@@ -177,38 +187,18 @@ pub struct CompSharingPlan {
     pub operands: Vec<OperandUse>,
 }
 
-/// The statically planned cache directives for one strategy expression:
-/// which build identities this `Comp` serves from an earlier expression's
-/// table, and which it must intern and publish because a later live
-/// expression will consume them. Empty for `Inst` and for every
-/// expression when strategy-scope sharing is off.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CompCacheDirectives {
-    /// Identities served from a table built by an earlier expression.
-    consume: HashSet<SharedIdentity>,
-    /// Identities to intern locally and publish for later expressions.
-    publish: HashSet<SharedIdentity>,
-    /// Raw `(view, as-delta)` reads served from the strategy cache instead
-    /// of re-scanning. Like `consume`, fixed statically so the measured
-    /// `operand_reads_cached` equals the plan by construction.
-    raw_consume: HashSet<(String, bool)>,
-}
+/// A raw operand read: `(view, as-delta)` — the strategy cache's unit of
+/// materialization reuse.
+type RawKey = (String, bool);
 
-/// Strategy-scope operand cache: raw materializations and build tables
-/// that survive across `Comp` boundaries until the operand is modified.
-///
-/// The cache is *directive-driven*: [`plan_strategy_sharing`] fixes, per
-/// expression, exactly which identities consume and which publish, so the
-/// measured cross-expression counters equal the static plan by
-/// construction. After every executed expression the owner must call
-/// [`StrategyCache::invalidate_after`], which drops entries through the
-/// same `uww_analysis::modifies_operand` predicate the `UWW012` analyzer
-/// rule prices — an operand an `Inst` (or delta-extending `Comp`) touched
-/// can never serve a stale copy.
-/// Live raw `(view, as-delta)` materializations, with the raw extent
-/// length the logical metric charges per term and a flag marking entries
-/// carried in from a previous update window.
-type RawCache = HashMap<(String, bool), (Arc<SignedRows>, u64, bool)>;
+/// Runtime raw materializations by read, with the raw extent length the
+/// logical metric charges per term and a flag marking entries carried in
+/// from a previous update window.
+type RawCache = HashMap<RawKey, (Arc<SignedRows>, u64, bool)>;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Build tables and raw operand materializations that outlived one update
 /// window: every entry's operand provably went unmodified by the window
@@ -222,11 +212,11 @@ type RawCache = HashMap<(String, bool), (Arc<SignedRows>, u64, bool)>;
 #[derive(Default)]
 pub struct WindowCarry {
     tables: HashMap<SharedIdentity, Arc<PartitionedTable>>,
-    raws: HashMap<(String, bool), (Arc<SignedRows>, u64)>,
+    raws: HashMap<RawKey, (Arc<SignedRows>, u64)>,
     /// The partition count the carried tables were built at. A carry only
     /// seeds a window run at the *same* partitioning — the executor drops a
-    /// mismatched carry before planning, so a table split `P` ways can never
-    /// serve a probe split `Q` ways (a cross-partition stale hit).
+    /// mismatched carry before the window starts, so a table split `P` ways
+    /// can never serve a probe split `Q` ways (a cross-partition stale hit).
     partitions: usize,
 }
 
@@ -265,37 +255,298 @@ impl WindowCarry {
     pub fn raws(&self) -> usize {
         self.raws.len()
     }
+}
 
-    /// The carried identity sets, for seeding the next window's liveness walk.
-    pub(crate) fn seed(&self) -> (HashSet<SharedIdentity>, HashSet<(String, bool)>) {
-        (
-            self.tables.keys().cloned().collect(),
-            self.raws.keys().cloned().collect(),
-        )
+/// The strict liveness walk over a strategy: the build identities and raw
+/// reads an earlier expression (or the previous window) left valid, plus
+/// the carried-in subsets of each. Advanced after *every* expression, a
+/// zero-install `Inst` included, through `uww_analysis::modifies_operand`.
+/// The executor's [`StrategyCache`] and the [`plan_strategy_sharing`] oracle
+/// run this one walk, so their directives cannot drift apart.
+#[derive(Debug, Default)]
+struct Liveness {
+    tables: HashSet<SharedIdentity>,
+    raws: HashSet<RawKey>,
+    carried_tables: HashSet<SharedIdentity>,
+    carried_raws: HashSet<RawKey>,
+}
+
+/// One `Comp`'s cache directives, decided by [`Liveness::decide`].
+#[derive(Debug, Default)]
+struct Directives {
+    /// Identities served from a table built by an earlier expression.
+    consume: HashSet<SharedIdentity>,
+    /// Identities to intern locally and publish for later expressions.
+    publish: HashSet<SharedIdentity>,
+    /// Of the consumed uses, those served by a carried-in table.
+    carried_table_hits: u64,
+    /// Of the raw reads served from the cache, those served by a carried-in
+    /// materialization.
+    carried_raw_hits: u64,
+}
+
+impl Liveness {
+    /// The walk's start: the previous window's survivors are live (and
+    /// carried); without a carry nothing is.
+    fn seeded(carry: Option<&WindowCarry>) -> Liveness {
+        let Some(carry) = carry else {
+            return Liveness::default();
+        };
+        let tables: HashSet<SharedIdentity> = carry.tables.keys().cloned().collect();
+        let raws: HashSet<RawKey> = carry.raws.keys().cloned().collect();
+        Liveness {
+            carried_tables: tables.clone(),
+            carried_raws: raws.clone(),
+            tables,
+            raws,
+        }
+    }
+
+    /// Decides one `Comp`'s directives from its per-`Comp` plan and turns
+    /// the plan's counters into what the strategy-scope executor measures:
+    /// a live identity is consumed (its key builds nothing and every use is
+    /// a cross-reuse), any other use a later `Comp` could consume
+    /// (`wanted_later`) is published, and every live raw read is served
+    /// from the cache. The `Comp`'s reads and publications then become live.
+    fn decide(
+        &mut self,
+        plan: &mut CompSharingPlan,
+        wanted_later: impl Fn(&SharedIdentity) -> bool,
+    ) -> Directives {
+        let mut d = Directives::default();
+        let mut consumed_keys = 0u64;
+        for o in &plan.operands {
+            let id = o.identity();
+            if self.tables.contains(&id) {
+                plan.cross_reuses += o.occurrences;
+                plan.cross_saved_rows += o.rows;
+                consumed_keys += 1;
+                if self.carried_tables.contains(&id) {
+                    d.carried_table_hits += o.occurrences;
+                }
+                d.consume.insert(id);
+            } else if wanted_later(&id) {
+                d.publish.insert(id);
+            }
+        }
+        let keyed_steps = plan.predicted_builds + plan.predicted_reuses;
+        plan.predicted_builds -= consumed_keys;
+        plan.predicted_reuses = keyed_steps - plan.predicted_builds;
+        for r in &plan.reads {
+            if self.raws.contains(r) {
+                plan.cached_reads += 1;
+                if self.carried_raws.contains(r) {
+                    d.carried_raw_hits += 1;
+                }
+            }
+        }
+        // Publications land during execution and the expression's own
+        // modifications apply after (in `advance`) — the executor's order.
+        // A `Comp` never modifies its own sources' operands.
+        self.raws.extend(plan.reads.iter().cloned());
+        self.tables.extend(d.publish.iter().cloned());
+        d
+    }
+
+    /// Drops every identity and read expression `e` modified.
+    fn advance(&mut self, g: &Vdag, e: &UpdateExpr) {
+        let unmodified = |(view, as_delta): (&String, bool)| {
+            !uww_analysis::modifies_operand(g, e, view, as_delta)
+        };
+        self.tables.retain(|id| unmodified((&id.0, id.1)));
+        self.carried_tables.retain(|id| unmodified((&id.0, id.1)));
+        self.raws.retain(|r| unmodified((&r.0, r.1)));
+        self.carried_raws.retain(|r| unmodified((&r.0, r.1)));
     }
 }
 
+/// The publish side of the strategy cache's directives, fixed from view
+/// definitions alone before anything runs: for every strategy position,
+/// each [`SharedIdentity`] that position's `Comp` *could* key a hash-join
+/// build on. `Comp(V, Y)` can key source `s` of `V`'s definition on `s`'s
+/// view, in a role some term over `Y` gives it, with `s`'s rendered
+/// pushed-down filters, on the key columns [`eval::join_keys`] takes from
+/// any non-empty set of the sources `s` is equi-joined with. A term
+/// through a view whose delta is empty at window start and that no `Comp`
+/// fills is skipped (footnote 5), so such views give no role.
+///
+/// The runtime uses are a subset: operand sizes decide which sources
+/// precede `s` in a term's greedy order (and so its key columns), and
+/// whether `s` is the term's start operand, which is never a build.
+/// Publishing the superset moves no counter — a consumer finds an identity
+/// live exactly when an earlier use of it went unmodified since, which is
+/// exactly when an exact lookahead would have published it — so the only
+/// cost of an unconsumed publication is the interned build it forces.
+struct Lookahead {
+    exprs: Vec<UpdateExpr>,
+    could_use: Vec<HashSet<SharedIdentity>>,
+}
+
+impl Lookahead {
+    fn new(w: &Warehouse, strategy: &Strategy) -> CoreResult<Lookahead> {
+        let g = w.vdag();
+        let filled: HashSet<ViewId> = strategy
+            .exprs
+            .iter()
+            .filter_map(|e| match e {
+                UpdateExpr::Comp { view, .. } => Some(*view),
+                UpdateExpr::Inst(_) => None,
+            })
+            .collect();
+        let could_change =
+            |v: ViewId| filled.contains(&v) || w.pending(g.name(v)).is_some_and(|d| !d.is_empty());
+        let mut could_use = Vec::with_capacity(strategy.exprs.len());
+        for e in &strategy.exprs {
+            could_use.push(match e {
+                UpdateExpr::Comp { view, over } => {
+                    let over: BTreeSet<&str> = over
+                        .iter()
+                        .filter(|v| could_change(**v))
+                        .map(|v| g.name(*v))
+                        .collect();
+                    build_identities(w, g.name(*view), &over)?
+                }
+                UpdateExpr::Inst(_) => HashSet::new(),
+            });
+        }
+        Ok(Lookahead {
+            exprs: strategy.exprs.clone(),
+            could_use,
+        })
+    }
+
+    /// Could a `Comp` after position `j` consume `id` before an expression
+    /// modifies its operand? Reads happen before an expression's own
+    /// writes, so a use at `p` is checked before `p`'s modification.
+    fn wanted_after(&self, g: &Vdag, j: usize, id: &SharedIdentity) -> bool {
+        for (p, e) in self.exprs.iter().enumerate().skip(j + 1) {
+            if self.could_use[p].contains(id) {
+                return true;
+            }
+            if uww_analysis::modifies_operand(g, e, &id.0, id.1) {
+                return false;
+            }
+        }
+        false
+    }
+}
+
+/// Every build identity `Comp(view, ..)` could key when its terms range
+/// over the non-empty subsets of `over`.
+fn build_identities(
+    w: &Warehouse,
+    view: &str,
+    over: &BTreeSet<&str>,
+) -> CoreResult<HashSet<SharedIdentity>> {
+    let def = w
+        .def(view)
+        .ok_or_else(|| CoreError::Warehouse(format!("no definition for {view}")))?;
+    let mut out = HashSet::new();
+    for (i, s) in def.sources.iter().enumerate() {
+        // A term through `s.view` reads its delta; one avoiding it, the
+        // stored extent.
+        let roles = [
+            (false, over.iter().any(|v| *v != s.view)),
+            (true, over.contains(s.view.as_str())),
+        ];
+        if roles.iter().all(|&(_, used)| !used) {
+            continue;
+        }
+        let qschema = w
+            .state()
+            .get(&s.view)
+            .map_err(CoreError::Rel)?
+            .schema()
+            .qualified(&s.alias);
+        let filters: Vec<String> = def
+            .filters
+            .iter()
+            .filter(|f| eval::single_source_of(def, f) == Some(i))
+            .map(|f| format!("{f:?}"))
+            .collect();
+        // `s`'s equi-join columns in join order, each with the source on
+        // the other side — what `eval::join_keys` draws a build key from.
+        let mut edges: Vec<(usize, String)> = Vec::new();
+        for j in &def.joins {
+            let (other, col) = match (
+                def.source_of_column(&j.left),
+                def.source_of_column(&j.right),
+            ) {
+                (Some(a), Some(b)) if a == i && b != i => (b, &j.left),
+                (Some(a), Some(b)) if b == i && a != i => (a, &j.right),
+                _ => continue,
+            };
+            let c = qschema.index_of(col).map_err(CoreError::Rel)?;
+            edges.push((other, qschema.column(c).name.clone()));
+        }
+        let mut neighbors: Vec<usize> = edges.iter().map(|&(o, _)| o).collect();
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        // One key per non-empty set of neighbors joined before `s`.
+        for mask in 1u64..(1 << neighbors.len()) {
+            let joined = |o: &usize| neighbors.binary_search(o).is_ok_and(|k| mask >> k & 1 == 1);
+            let keys: Vec<String> = edges
+                .iter()
+                .filter(|(o, _)| joined(o))
+                .map(|(_, c)| c.clone())
+                .collect();
+            for &(as_delta, used) in &roles {
+                if used {
+                    out.insert((s.view.clone(), as_delta, keys.clone(), filters.clone()));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Strategy-scope operand cache: raw materializations and build tables
+/// that survive across `Comp` boundaries until the operand is modified.
+///
+/// The cache decides each `Comp`'s directives as the strategy runs:
+/// [`OperandCache::build`] hands it the `Comp`'s exact per-`Comp` plan, and
+/// the strict [`Liveness`] walk plus the static [`Lookahead`] say which
+/// keys consume an earlier table, which publish their own, and which raw
+/// reads are served from the cache. After every executed expression the
+/// owner must call [`StrategyCache::advance`], which applies the same
+/// `uww_analysis::modifies_operand` predicate the `UWW012` analyzer rule
+/// prices — an operand an `Inst` (or delta-extending `Comp`) touched can
+/// never serve a stale copy.
+///
+/// Consumption follows the strict walk only. The runtime stores retain
+/// more: an `Inst` that installed nothing leaves every operand
+/// bit-identical, so they keep their entries across it. That looser
+/// retention only decides what the harvest hands to the next window, which
+/// gets the carried-in tables and every published table a later expression
+/// consumed — what an exact lookahead would have published.
 pub(crate) struct StrategyCache {
-    /// Per-expression directives, indexed by strategy position.
-    directives: Vec<CompCacheDirectives>,
-    /// Live build tables by identity; the flag marks carried-in entries.
+    lookahead: Lookahead,
+    live: Mutex<Liveness>,
+    /// Tables published by this window that no expression consumed yet,
+    /// dropped when their operand is modified.
+    fresh: Mutex<HashMap<SharedIdentity, Arc<PartitionedTable>>>,
+    /// Carried-in tables and consumed publications, loosely retained; the
+    /// flag marks carried-in entries.
     tables: Mutex<HashMap<SharedIdentity, (Arc<PartitionedTable>, bool)>>,
     raws: Mutex<RawCache>,
-    /// Conformance counters: cross-reuses / cached reads served from an
-    /// entry carried in from the previous window (per use, like the meter).
-    carried_table_hits: AtomicU64,
-    carried_raw_hits: AtomicU64,
+    /// The summed per-`Comp` predictions, and the uses actually served by
+    /// carried-in entries (counted per use, like the meter).
+    conformance: Mutex<CarryConformance>,
 }
 
 impl StrategyCache {
-    /// A cache primed with the plan's directives plus the previous window's
-    /// surviving entries (flagged so carried hits are counted separately).
-    pub(crate) fn with_carry(
-        directives: Vec<CompCacheDirectives>,
+    /// A cache for `strategy` on `w` as the window starts, seeded with the
+    /// previous window's surviving entries (flagged so carried hits are
+    /// counted separately).
+    pub(crate) fn new(
+        w: &Warehouse,
+        strategy: &Strategy,
         carry: WindowCarry,
-    ) -> StrategyCache {
-        StrategyCache {
-            directives,
+    ) -> CoreResult<StrategyCache> {
+        Ok(StrategyCache {
+            lookahead: Lookahead::new(w, strategy)?,
+            live: Mutex::new(Liveness::seeded(Some(&carry))),
+            fresh: Mutex::new(HashMap::new()),
             tables: Mutex::new(
                 carry
                     .tables
@@ -310,90 +561,93 @@ impl StrategyCache {
                     .map(|(k, (rows, len))| (k, (rows, len, true)))
                     .collect(),
             ),
-            carried_table_hits: AtomicU64::new(0),
-            carried_raw_hits: AtomicU64::new(0),
-        }
+            conformance: Mutex::new(CarryConformance::default()),
+        })
     }
 
-    fn directives(&self, idx: usize) -> Option<&CompCacheDirectives> {
-        self.directives.get(idx)
+    /// Decides the directives of the `Comp` at strategy position `idx`
+    /// from its per-`Comp` `plan`, adjusting the plan to the counters this
+    /// run will measure and adding them to the window's prediction.
+    fn decide(&self, g: &Vdag, idx: usize, plan: &mut CompSharingPlan) -> Directives {
+        let d = lock(&self.live).decide(plan, |id| self.lookahead.wanted_after(g, idx, id));
+        let mut c = lock(&self.conformance);
+        c.predicted_cross_reuses += plan.cross_reuses;
+        c.predicted_cached_reads += plan.cached_reads;
+        c.predicted_carried_table_hits += d.carried_table_hits;
+        c.predicted_carried_raw_hits += d.carried_raw_hits;
+        d
     }
 
-    /// The cached raw read for `(view, as_delta)` — served only when this
-    /// expression's plan directs it (so measured `operand_reads_cached`
-    /// equals the static prediction even when the runtime cache happens to
-    /// retain more than the conservative static walk assumed).
-    fn raw_get(&self, idx: usize, view: &str, as_delta: bool) -> Option<(Arc<SignedRows>, u64)> {
-        let key = (view.to_string(), as_delta);
-        if !self
-            .directives(idx)
-            .is_some_and(|d| d.raw_consume.contains(&key))
-        {
+    /// The cached raw read for `key` when the strict walk holds it live
+    /// (the runtime store retains at least that much).
+    fn raw_get(&self, key: &RawKey) -> Option<(Arc<SignedRows>, u64)> {
+        if !lock(&self.live).raws.contains(key) {
             return None;
         }
-        let map = self.raws.lock().unwrap_or_else(|e| e.into_inner());
-        let (rows, len, carried) = map.get(&key)?;
+        let map = lock(&self.raws);
+        let entry = map.get(key);
+        debug_assert!(entry.is_some(), "live raw read missing from strategy cache");
+        let (rows, len, carried) = entry?;
         if *carried {
-            self.carried_raw_hits.fetch_add(1, Ordering::Relaxed);
+            lock(&self.conformance).measured_carried_raw_hits += 1;
         }
         Some((Arc::clone(rows), *len))
     }
 
-    fn raw_put(&self, key: (String, bool), entry: (Arc<SignedRows>, u64)) {
-        self.raws
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, (entry.0, entry.1, false));
+    fn raw_put(&self, key: RawKey, entry: (Arc<SignedRows>, u64)) {
+        lock(&self.raws).insert(key, (entry.0, entry.1, false));
     }
 
+    /// The table for a consumed identity. A publication's first consumer
+    /// moves it into the harvestable store.
     fn table_get(&self, id: &SharedIdentity) -> Option<Arc<PartitionedTable>> {
-        let map = self.tables.lock().unwrap_or_else(|e| e.into_inner());
-        let (t, carried) = map.get(id)?;
+        let mut fresh = lock(&self.fresh);
+        let mut tables = lock(&self.tables);
+        if let Some(t) = fresh.remove(id) {
+            tables.insert(id.clone(), (Arc::clone(&t), false));
+            return Some(t);
+        }
+        let (t, carried) = tables.get(id)?;
         if *carried {
-            self.carried_table_hits.fetch_add(1, Ordering::Relaxed);
+            lock(&self.conformance).measured_carried_table_hits += 1;
         }
         Some(Arc::clone(t))
     }
 
     fn table_put(&self, id: SharedIdentity, t: Arc<PartitionedTable>) {
-        self.tables
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, (t, false));
+        lock(&self.fresh).insert(id, t);
     }
 
-    /// Measured `(table hits, raw hits)` served from carried-in entries.
-    pub(crate) fn carried_hits(&self) -> (u64, u64) {
-        (
-            self.carried_table_hits.load(Ordering::Relaxed),
-            self.carried_raw_hits.load(Ordering::Relaxed),
-        )
+    /// Advances the cache past expression `e`: the strict walk and the
+    /// unconsumed publications drop everything `e` modified; the runtime
+    /// stores do too unless `e` is an `Inst` that installed nothing.
+    pub(crate) fn advance(&self, g: &Vdag, e: &UpdateExpr, installed_nothing: bool) {
+        let modified =
+            |view: &str, as_delta: bool| uww_analysis::modifies_operand(g, e, view, as_delta);
+        lock(&self.live).advance(g, e);
+        lock(&self.fresh).retain(|id, _| !modified(&id.0, id.1));
+        if !installed_nothing {
+            lock(&self.tables).retain(|id, _| !modified(&id.0, id.1));
+            lock(&self.raws).retain(|key, _| !modified(&key.0, key.1));
+        }
     }
 
-    /// Drops every cached entry whose operand `e` modified — the executor
-    /// calls this after each expression completes, mirroring the liveness
-    /// walk the static plan performed. (The executor skips the call for an
-    /// `Inst` that installed nothing: a no-op install leaves every operand
-    /// bit-identical, and consumption is directive-driven, so the laxer
-    /// runtime retention can never serve an unplanned entry — it only lets
-    /// more entries survive into the next window's carry.)
-    pub(crate) fn invalidate_after(&self, g: &Vdag, e: &UpdateExpr) {
-        self.tables
-            .lock()
-            .unwrap_or_else(|er| er.into_inner())
-            .retain(|id, _| !uww_analysis::modifies_operand(g, e, &id.0, id.1));
-        self.raws
-            .lock()
-            .unwrap_or_else(|er| er.into_inner())
-            .retain(|key, _| !uww_analysis::modifies_operand(g, e, &key.0, key.1));
+    /// The window's predicted-vs-measured sharing counters, given the
+    /// meter delta the window measured.
+    pub(crate) fn conformance(&self, measured: &WorkMeter) -> CarryConformance {
+        let mut c = *lock(&self.conformance);
+        c.measured_cross_reuses = measured.hash_tables_cross_reused;
+        c.measured_cached_reads = measured.operand_reads_cached;
+        c
     }
 
     /// Consumes the cache into the entries that may cross into the next
-    /// window: everything still live, minus every delta-role entry (the
-    /// next batch replaces all pending deltas, so a carried delta read
-    /// would be stale by construction). The carry is stamped with the
-    /// partition count this window ran at — a future window at a different
-    /// partitioning must drop it rather than probe mis-split tables.
+    /// window: everything still in the runtime stores, minus every
+    /// delta-role entry (the next batch replaces all pending deltas, so a
+    /// carried delta read would be stale by construction). The carry is
+    /// stamped with the partition count this window ran at — a future
+    /// window at a different partitioning must drop it rather than probe
+    /// mis-split tables.
     pub(crate) fn harvest(self, partitions: usize) -> WindowCarry {
         WindowCarry {
             partitions,
@@ -423,8 +677,8 @@ impl StrategyCache {
 /// `Comp` whose every term is skipped (empty deltas, footnote 5) still
 /// costs nothing. Shared by reference across term-evaluation threads.
 /// When a [`StrategyCache`] is attached, raw reads are served from (and
-/// published to) it, and the plan's consume/publish directives route keyed
-/// builds through the strategy-scope table store.
+/// published to) it, and the directives it decides for this `Comp` route
+/// keyed builds through the strategy-scope table store.
 pub(crate) struct OperandCache<'a> {
     /// Qualified schema per source, as `eval_term` computes it.
     qschemas: Vec<Schema>,
@@ -465,8 +719,9 @@ impl<'a> OperandCache<'a> {
     /// share the raw read and diverge only in their pushed-down filters.
     ///
     /// With `strategy = Some((cache, idx))`, raw reads consult and feed the
-    /// strategy cache, and the expression's planned directives decide which
-    /// keyed builds consume an earlier table or publish their own.
+    /// strategy cache, and the cache decides from this `Comp`'s plan — the
+    /// one computed here, against the live warehouse — which keyed builds
+    /// consume an earlier table or publish their own.
     pub(crate) fn build(
         w: &Warehouse,
         def: &ViewDef,
@@ -474,6 +729,8 @@ impl<'a> OperandCache<'a> {
         strategy: Option<(&'a StrategyCache, usize)>,
         partition: PartitionOptions,
     ) -> CoreResult<(OperandCache<'a>, WorkMeter)> {
+        #[cfg(test)]
+        BUILD_CALLS.with(|c| c.set(c.get() + 1));
         let n = def.sources.len();
         let state = w.state();
         let pending = w.pending_map();
@@ -523,9 +780,7 @@ impl<'a> OperandCache<'a> {
                         // A live strategy-cache entry is the same raw read an
                         // earlier expression performed (nothing modified the
                         // operand since, or it would have been invalidated).
-                        let entry = match strategy
-                            .and_then(|(sc, idx)| sc.raw_get(idx, &s.view, as_delta))
-                        {
+                        let entry = match strategy.and_then(|(sc, _)| sc.raw_get(&key)) {
                             Some(hit) => {
                                 meter.cached_read();
                                 hit
@@ -610,20 +865,29 @@ impl<'a> OperandCache<'a> {
             })
             .collect();
 
-        // Apply the strategy plan's directives: a consumed key never builds
-        // locally (every use is a cross-reuse), a published key is interned
-        // even at one local occurrence so its first build can be shared.
-        let dir = strategy.and_then(|(sc, idx)| sc.directives(idx));
+        let mut reads: Vec<RawKey> = raw.keys().cloned().collect();
+        reads.sort();
+        let mut plan = CompSharingPlan {
+            terms: terms.len(),
+            predicted_builds: uses.len() as u64,
+            predicted_reuses: keyed_steps - uses.len() as u64,
+            reads,
+            operands,
+            ..CompSharingPlan::default()
+        };
+
+        // Strategy scope: the cache turns the plan into this Comp's
+        // directives. A consumed key never builds locally (every use is a
+        // cross-reuse); a published key is interned even at one local
+        // occurrence so its first build can be shared.
         let mut consume: HashMap<TableKey, SharedIdentity> = HashMap::new();
         let mut publish: HashMap<TableKey, SharedIdentity> = HashMap::new();
-        let mut cross_reuses = 0u64;
-        let mut cross_saved_rows = 0u64;
-        if let Some(d) = dir {
-            for (use_, (key, &occ)) in operands.iter().zip(uses.iter()) {
+        if let Some((sc, idx)) = strategy {
+            let d = sc.decide(w.vdag(), idx, &mut plan);
+            debug_assert_eq!(plan.cached_reads, meter.operand_reads_cached);
+            for (use_, key) in plan.operands.iter().zip(uses.keys()) {
                 let id = use_.identity();
                 if d.consume.contains(&id) {
-                    cross_reuses += occ;
-                    cross_saved_rows += use_.rows;
                     consume.insert(key.clone(), id);
                 } else if d.publish.contains(&id) {
                     publish.insert(key.clone(), id);
@@ -641,19 +905,6 @@ impl<'a> OperandCache<'a> {
             .filter(|(key, _)| !key.2.is_empty())
             .map(|(k, _)| k.clone())
             .collect();
-        let mut reads: Vec<(String, bool)> = raw.keys().cloned().collect();
-        reads.sort();
-        let predicted_builds = (uses.len() - consume.len()) as u64;
-        let plan = CompSharingPlan {
-            terms: terms.len(),
-            predicted_builds,
-            predicted_reuses: keyed_steps - predicted_builds,
-            cross_reuses,
-            cached_reads: meter.operand_reads_cached,
-            cross_saved_rows,
-            reads,
-            operands,
-        };
 
         Ok((
             OperandCache {
@@ -716,8 +967,8 @@ impl<'a> OperandCache<'a> {
 
     /// The strategy-cache table for a consumed key, counting the hit as a
     /// cross-expression reuse. `None` when the key is not consumed. A
-    /// planned-but-missing table falls back to the local intern path (and
-    /// the conformance check will surface the divergence).
+    /// live-but-missing table falls back to the local intern path (and the
+    /// conformance check will surface the divergence).
     fn cross_table(&self, key: &TableKey, meter: &mut WorkMeter) -> Option<Arc<PartitionedTable>> {
         let id = self.consume.get(key)?;
         let sc = self.strategy?;
@@ -731,7 +982,7 @@ impl<'a> OperandCache<'a> {
                 Some(t)
             }
             None => {
-                debug_assert!(false, "planned cross-reuse missing from strategy cache");
+                debug_assert!(false, "live cross-reuse missing from strategy cache");
                 None
             }
         }
@@ -1129,7 +1380,7 @@ fn join_term(
             sp.attr_u64(obs::keys::ROWS, out.len() as u64);
             out
         } else if let Some(table) = cache.cross_table(&(next, role[next], rk.clone()), meter) {
-            // The strategy plan marked this key consumed: the table was
+            // The strategy cache marked this key consumed: the table was
             // built by an earlier expression over identity-equal rows and
             // nothing modified the operand since — probe it directly, no
             // local build at all.
@@ -1217,6 +1468,8 @@ pub(crate) fn eval_terms_shared(
             cache.plan.cross_reuses,
         );
         sp.attr_u64(obs::keys::PREDICTED_CACHED_READS, cache.plan.cached_reads);
+        sp.attr_u64(obs::keys::CONSUMED_KEYS, cache.consume.len() as u64);
+        sp.attr_u64(obs::keys::PUBLISHED_KEYS, cache.publish.len() as u64);
         (cache, meter)
     };
     // Worker threads do not inherit the spawner's span stack; parent every
@@ -1326,8 +1579,8 @@ pub enum SharingScope {
     Strategy,
 }
 
-/// The strategy-scope sharing plan: exact per-expression predictions plus
-/// the runtime consume/publish directives the executor realizes.
+/// The strategy-scope sharing plan: exact per-expression predictions of the
+/// counters the executor will measure.
 pub struct StrategySharingPlan {
     /// Per-expression predictions, in strategy order. Under
     /// [`SharingScope::Strategy`] the build/reuse counters are adjusted
@@ -1341,8 +1594,6 @@ pub struct StrategySharingPlan {
     /// Predicted raw operand reads served from a previous window's carried
     /// materialization. Subset of the total predicted cached reads.
     pub carried_raw_hits: u64,
-    /// Per-expression cache directives (empty under [`SharingScope::Comp`]).
-    pub(crate) directives: Vec<CompCacheDirectives>,
 }
 
 impl StrategySharingPlan {
@@ -1361,28 +1612,19 @@ impl StrategySharingPlan {
     pub fn cross_saved_rows(&self) -> u64 {
         self.exprs.iter().map(|e| e.plan.cross_saved_rows).sum()
     }
-
-    /// A runtime cache primed with this plan's directives plus the previous
-    /// window's surviving entries. Only meaningful when the plan was built
-    /// by [`plan_strategy_sharing_carried`] over the *same* carry, so the
-    /// directives and the seeded entries agree.
-    pub(crate) fn cache_with(&self, carry: WindowCarry) -> StrategyCache {
-        StrategyCache::with_carry(self.directives.clone(), carry)
-    }
 }
 
-/// Plans a whole strategy's sharing at the requested scope.
+/// Plans a whole strategy's sharing at the requested scope — the
+/// prediction oracle behind `uww analyze --sharing`, the shared planner
+/// objective and the conformance tests. The executor never calls it.
 ///
-/// The replay first produces every `Comp`'s per-expression plan (exactly
-/// [`predict_strategy_sharing`]); under [`SharingScope::Strategy`] a second,
-/// purely static pass walks those plans in order with the `UWW012` liveness
-/// predicate: a keyed build whose [`SharedIdentity`] is live (built by an
-/// earlier expression, operand unmodified since) is marked **consume**, and
-/// a first build whose identity a later live expression will use again is
-/// marked **publish**. The per-expression counters are adjusted to what the
-/// directive-driven executor will measure — consumed keys build nothing and
-/// turn every use into a cross-reuse; raw reads present in the live set
-/// become `cached_reads`.
+/// The strategy is replayed on a scratch clone: each `Comp` is planned
+/// against the state the preceding expressions produce (derived deltas —
+/// and hence operand sizes and join orders — depend on it), then the
+/// expression executes to advance the clone. Under
+/// [`SharingScope::Strategy`] each per-`Comp` plan goes through the same
+/// liveness walk and publish lookahead the executor's strategy cache runs,
+/// so the predicted counters are the ones a strategy-shared run measures.
 pub fn plan_strategy_sharing(
     w: &Warehouse,
     strategy: &Strategy,
@@ -1396,9 +1638,9 @@ pub fn plan_strategy_sharing(
 /// identities live, so expressions at the *front* of the strategy can
 /// consume tables (and raw materializations) built by the previous window.
 /// The plan's `carried_table_hits`/`carried_raw_hits` predict exactly how
-/// many uses the carried entries will serve — the conformance quantity
+/// many uses the carried entries will serve — the quantities
 /// [`Warehouse::execute_carried`](crate::engine::Warehouse::execute_carried)
-/// checks against the measured counters.
+/// reports as measured in its conformance counters.
 pub fn plan_strategy_sharing_carried(
     w: &Warehouse,
     strategy: &Strategy,
@@ -1413,12 +1655,21 @@ fn plan_strategy_sharing_seeded(
     scope: SharingScope,
     carry: Option<&WindowCarry>,
 ) -> CoreResult<StrategySharingPlan> {
+    let lookahead = match scope {
+        SharingScope::Strategy => Some(Lookahead::new(w, strategy)?),
+        SharingScope::Comp => None,
+    };
+    let mut live = Liveness::seeded(carry);
     let mut scratch = w.clone();
     // The replay is a prediction, not part of the run: keep its spans out of
-    // any installed trace (a traced `--strategy-sharing` run plans first).
+    // any installed trace.
     let _quiet = obs::suppress();
-    let mut exprs = Vec::with_capacity(strategy.exprs.len());
-    for expr in &strategy.exprs {
+    let mut plan = StrategySharingPlan {
+        exprs: Vec::with_capacity(strategy.exprs.len()),
+        carried_table_hits: 0,
+        carried_raw_hits: 0,
+    };
+    for (j, expr) in strategy.exprs.iter().enumerate() {
         let pred = match expr {
             UpdateExpr::Comp { view, over } => {
                 let name = scratch.vdag().name(*view).to_string();
@@ -1426,11 +1677,16 @@ fn plan_strategy_sharing_seeded(
                     .iter()
                     .map(|v| scratch.vdag().name(*v).to_string())
                     .collect();
-                let plan = predict_comp_sharing(&scratch, &name, &over_names)?;
+                let mut comp = predict_comp_sharing(&scratch, &name, &over_names)?;
+                if let Some(la) = &lookahead {
+                    let d = live.decide(&mut comp, |id| la.wanted_after(w.vdag(), j, id));
+                    plan.carried_table_hits += d.carried_table_hits;
+                    plan.carried_raw_hits += d.carried_raw_hits;
+                }
                 ExprSharingPrediction {
                     view: name,
                     kind: "comp",
-                    plan,
+                    plan: comp,
                 }
             }
             UpdateExpr::Inst(v) => ExprSharingPrediction {
@@ -1439,7 +1695,8 @@ fn plan_strategy_sharing_seeded(
                 plan: CompSharingPlan::default(),
             },
         };
-        exprs.push(pred);
+        plan.exprs.push(pred);
+        live.advance(w.vdag(), expr);
         scratch.execute_with(
             &Strategy::from_exprs(vec![expr.clone()]),
             crate::engine::exec::ExecOptions {
@@ -1448,96 +1705,5 @@ fn plan_strategy_sharing_seeded(
             },
         )?;
     }
-
-    let mut directives: Vec<CompCacheDirectives> = (0..exprs.len())
-        .map(|_| CompCacheDirectives::default())
-        .collect();
-    let mut carried_table_hits = 0u64;
-    let mut carried_raw_hits = 0u64;
-    if scope == SharingScope::Strategy {
-        let g = w.vdag();
-        // Does any Comp after `j` use `id` before an expression modifies
-        // its operand? Reads happen before an expression's own writes, so
-        // usage at `p` is checked before `p`'s modification.
-        let wanted_later = |exprs: &[ExprSharingPrediction], j: usize, id: &SharedIdentity| {
-            for (p, pred) in exprs.iter().enumerate().skip(j + 1) {
-                if pred.plan.operands.iter().any(|o| o.identity() == *id) {
-                    return true;
-                }
-                if uww_analysis::modifies_operand(g, &strategy.exprs[p], &id.0, id.1) {
-                    return false;
-                }
-            }
-            false
-        };
-        // The liveness walk starts from the previous window's survivors
-        // (empty without a carry); the carried subsets are tracked through
-        // the same retention so a carried entry that dies mid-strategy
-        // stops being counted exactly when the runtime cache drops it.
-        let (mut live_tables, mut live_raws) = carry.map_or_else(
-            || (HashSet::new(), HashSet::new()),
-            |c| {
-                let (t, r) = c.seed();
-                (t, r)
-            },
-        );
-        let mut carried_tables: HashSet<SharedIdentity> = live_tables.clone();
-        let mut carried_raws: HashSet<(String, bool)> = live_raws.clone();
-        for j in 0..exprs.len() {
-            let d = &mut directives[j];
-            let mut cross_reuses = 0u64;
-            let mut consumed_keys = 0u64;
-            let mut cross_saved_rows = 0u64;
-            for o in &exprs[j].plan.operands {
-                let id = o.identity();
-                if live_tables.contains(&id) {
-                    cross_reuses += o.occurrences;
-                    consumed_keys += 1;
-                    cross_saved_rows += o.rows;
-                    if carried_tables.contains(&id) {
-                        carried_table_hits += o.occurrences;
-                    }
-                    d.consume.insert(id);
-                } else if wanted_later(&exprs, j, &id) {
-                    d.publish.insert(id);
-                }
-            }
-            let plan = &mut exprs[j].plan;
-            let keyed_steps = plan.predicted_builds + plan.predicted_reuses;
-            plan.predicted_builds -= consumed_keys;
-            plan.predicted_reuses = keyed_steps - plan.predicted_builds;
-            plan.cross_reuses = cross_reuses;
-            plan.cross_saved_rows = cross_saved_rows;
-            d.raw_consume = plan
-                .reads
-                .iter()
-                .filter(|r| live_raws.contains(*r))
-                .cloned()
-                .collect();
-            plan.cached_reads = d.raw_consume.len() as u64;
-            carried_raw_hits += plan
-                .reads
-                .iter()
-                .filter(|r| carried_raws.contains(*r))
-                .count() as u64;
-            // Publishes land during execution; the expression's own
-            // modifications apply after — in that order, matching the
-            // executor (a Comp never modifies its own sources' operands).
-            live_raws.extend(plan.reads.iter().cloned());
-            live_tables.extend(d.publish.iter().cloned());
-            live_tables
-                .retain(|id| !uww_analysis::modifies_operand(g, &strategy.exprs[j], &id.0, id.1));
-            live_raws.retain(|r| !uww_analysis::modifies_operand(g, &strategy.exprs[j], &r.0, r.1));
-            carried_tables
-                .retain(|id| !uww_analysis::modifies_operand(g, &strategy.exprs[j], &id.0, id.1));
-            carried_raws
-                .retain(|r| !uww_analysis::modifies_operand(g, &strategy.exprs[j], &r.0, r.1));
-        }
-    }
-    Ok(StrategySharingPlan {
-        exprs,
-        carried_table_hits,
-        carried_raw_hits,
-        directives,
-    })
+    Ok(plan)
 }

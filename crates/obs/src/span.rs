@@ -115,6 +115,12 @@ pub mod keys {
     pub const PREDICTED_HASH_CROSS_REUSES: &str = "predicted_hash_cross_reuses";
     /// Statically predicted strategy-cache-served raw operand reads.
     pub const PREDICTED_CACHED_READS: &str = "predicted_cached_reads";
+    /// Build keys a `Comp` serves from an earlier expression's table
+    /// (strategy-scope cache directive).
+    pub const CONSUMED_KEYS: &str = "consumed_keys";
+    /// Build keys a `Comp` interns and publishes for later expressions
+    /// (strategy-scope cache directive).
+    pub const PUBLISHED_KEYS: &str = "published_keys";
     /// `1` on expression spans reconstructed from the WAL during recovery.
     pub const REPLAYED: &str = "replayed";
     /// WAL record sequence number.

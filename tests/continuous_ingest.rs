@@ -18,7 +18,8 @@
 use std::path::PathBuf;
 
 use uww::core::{
-    CostModel, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog, WalLog, Warehouse, WindowCarry,
+    plan_strategy_sharing_carried, CostModel, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog,
+    WalLog, Warehouse, WindowCarry,
 };
 use uww::relational::catalog_to_string;
 use uww::sched::{
@@ -228,6 +229,54 @@ fn carry_over_is_predicted_exactly() {
         assert_eq!(w.conformance.measured_carried_table_hits, 0);
         assert_eq!(w.conformance.measured_carried_raw_hits, 0);
     }
+}
+
+/// The executor decides its cache directives as each window runs; the
+/// replay oracle decides them on a clone before it. On every window of a
+/// carried stream the executor's predicted counters must equal
+/// `plan_strategy_sharing_carried` run on a pre-window clone with the same
+/// carry — and the measured ones must equal both.
+#[test]
+fn executor_predictions_equal_the_carried_oracle() {
+    const HORIZON: u64 = 60;
+    let (out, state) = run_continuous(sched_cfg(Policy::Adaptive, true, HORIZON, None), HORIZON);
+    let mut w = fixture();
+    let mut carry = WindowCarry::empty();
+    let mut carried_hits = 0;
+    for wr in &out.windows {
+        w.load_changes(wr.batch.clone()).expect("load batch");
+        let plan = plan_strategy_sharing_carried(&w.clone(), &wr.strategy, &carry).expect("oracle");
+        let outcome = w
+            .execute_carried(&wr.strategy, ExecOptions::default(), carry)
+            .expect("carried window");
+        let c = outcome.conformance;
+        assert_eq!(
+            (
+                c.predicted_cross_reuses,
+                c.predicted_cached_reads,
+                c.predicted_carried_table_hits,
+                c.predicted_carried_raw_hits
+            ),
+            (
+                plan.cross_reuses(),
+                plan.cached_reads(),
+                plan.carried_table_hits,
+                plan.carried_raw_hits
+            ),
+            "window {}: executor and oracle predictions differ",
+            wr.index
+        );
+        assert!(c.exact(), "window {}: {c:?}", wr.index);
+        assert_eq!(
+            c, wr.conformance,
+            "window {}: scheduler run differs",
+            wr.index
+        );
+        carried_hits += c.predicted_carried_table_hits + c.predicted_carried_raw_hits;
+        carry = outcome.carry;
+    }
+    assert!(carried_hits > 0, "no window was served from its carry");
+    assert_eq!(catalog_to_string(w.state()), state);
 }
 
 // ---------------------------------------------------------------------------

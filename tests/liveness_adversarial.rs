@@ -12,15 +12,25 @@
 //! ones, and the final states are compared byte-for-byte against the
 //! uncached engine.
 //!
+//! A second fixture attacks the publish side, which the cache decides from
+//! view definitions alone: keys a later `Comp` could consume but never
+//! does (its greedy order keys the source on other columns), and a
+//! zero-install `Inst` that ends an identity's liveness while the runtime
+//! store keeps its table. Every counter must still equal the
+//! `plan_strategy_sharing` oracle, and state, WAL bytes and the logical
+//! meter the per-`Comp` run's.
+//!
 //! Seeded: set `UWW_SHARE_SEED` to shift the delta batches.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use uww::core::{
     plan_strategy_sharing, CoreError, ExecOptions, FaultPlan, FsyncPolicy, SharingScope, WalConfig,
-    WalLog, Warehouse,
+    WalLog, Warehouse, WindowCarry,
 };
+use uww::obs::{AttrValue, SpanKind, SpanRecord, TraceBuffer};
 use uww::relational::{
     catalog_to_string, DeltaRelation, EquiJoin, OutputColumn, Schema, Table, Tuple, Value,
     ValueType, ViewDef, ViewOutput, ViewSource,
@@ -346,5 +356,268 @@ fn every_crash_point_of_the_cached_run_recovers_to_the_uncached_catalog() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Publish candidates the run never consumes
+// ---------------------------------------------------------------------------
+
+/// `A ⋈ B ⋈ C` on `A.k = B.k` and `A.g = C.g`.
+fn join_abc() -> ViewDef {
+    let src = |v: &str| ViewSource {
+        view: v.into(),
+        alias: v.into(),
+    };
+    ViewDef {
+        name: "ABC".into(),
+        sources: vec![src("A"), src("B"), src("C")],
+        joins: vec![EquiJoin::new("A.k", "B.k"), EquiJoin::new("A.g", "C.g")],
+        filters: vec![],
+        output: ViewOutput::Project(vec![
+            OutputColumn::col("k", "A.k"),
+            OutputColumn::col("v", "B.v"),
+            OutputColumn::col("g", "C.v"),
+        ]),
+    }
+}
+
+/// Bases `A` (50 rows), `B` (20), `C` (2), `D` (40) and `E` (30); seeded
+/// deltas on `A`, `B` and `E` only, so `Inst(C)` and `Inst(D)` install
+/// nothing. Views `AB`, `ABC`, `AD`, `BD`, `ED`. In `ABC` the two-row `C`
+/// starts every term's greedy order, so `A` is always keyed on `A.g` —
+/// although `A.k` (its key in `AB`) is one `ABC` could take, statically.
+fn candidate_fixture(seed: u64) -> (Warehouse, BTreeMap<String, DeltaRelation>) {
+    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(0xCA0D));
+    let schema = Schema::of(COLS);
+    let w = Warehouse::builder()
+        .base_table(base("A", 50))
+        .base_table(base("B", 20))
+        .base_table(base("C", 2))
+        .base_table(base("D", 40))
+        .base_table(base("E", 30))
+        .view(join2("AB", ("A", "A"), ("B", "B")))
+        .view(join_abc())
+        .view(join2("AD", ("A", "A"), ("D", "D")))
+        .view(join2("BD", ("B", "B"), ("D", "D")))
+        .view(join2("ED", ("E", "E"), ("D", "D")))
+        .build()
+        .unwrap();
+    let mut changes: BTreeMap<String, DeltaRelation> = BTreeMap::new();
+    for (name, inserts) in [("A", 8), ("B", 6), ("E", 5)] {
+        let mut delta = DeltaRelation::new(schema.clone());
+        if name == "B" {
+            for (tup, cnt) in w.table("B").unwrap().iter() {
+                if rng.below(3) == 0 {
+                    delta.add(tup.clone(), -(cnt as i64));
+                }
+            }
+        }
+        for i in 0..inserts {
+            delta.add(
+                Tuple::new(vec![
+                    Value::Int(rng.below(20) as i64),
+                    Value::Int(3000 + 100 * i + rng.below(50) as i64),
+                    Value::Int(rng.below(3) as i64),
+                ]),
+                1,
+            );
+        }
+        changes.insert(name.to_string(), delta);
+    }
+    (w, changes)
+}
+
+/// Strategy positions the assertions below name.
+const AB: usize = 0;
+const ABC: usize = 1;
+const ED_OVER_E: usize = 4;
+const BD_OVER_B: usize = 10;
+
+/// `Comp(AB)` publishes `(A, stored, A.k)` because `Comp(ABC)` could key
+/// `A` on it, but `ABC`'s greedy order keys `A` on `A.g`, and `Inst(A)`
+/// then kills the identity unconsumed. `Comp(AD,{A})` publishes
+/// `(D, stored, D.k)`, `Comp(ED,{E})` consumes it, and the zero-install
+/// `Inst(D)` ends its strict liveness before `Comp(BD,{B})` would use it
+/// again, even though the runtime store keeps the table across the no-op.
+fn candidate_strategy(w: &Warehouse) -> Strategy {
+    let g = w.vdag();
+    let id = |n: &str| g.id_of(n).unwrap();
+    let (a, b, c, d, e) = (id("A"), id("B"), id("C"), id("D"), id("E"));
+    let (ab, abc, ad, bd, ed) = (id("AB"), id("ABC"), id("AD"), id("BD"), id("ED"));
+    let strategy = Strategy::from_exprs(vec![
+        UpdateExpr::comp(ab, [a, b]),
+        UpdateExpr::comp(abc, [a, b, c]),
+        UpdateExpr::comp1(ad, a),
+        UpdateExpr::inst(a),
+        UpdateExpr::comp1(ed, e),
+        UpdateExpr::inst(e),
+        UpdateExpr::comp1(ad, d),
+        UpdateExpr::comp1(ed, d),
+        UpdateExpr::comp1(bd, d),
+        UpdateExpr::inst(d),
+        UpdateExpr::comp1(bd, b),
+        UpdateExpr::inst(b),
+        UpdateExpr::inst(c),
+        UpdateExpr::inst(ab),
+        UpdateExpr::inst(abc),
+        UpdateExpr::inst(ad),
+        UpdateExpr::inst(bd),
+        UpdateExpr::inst(ed),
+    ]);
+    check_vdag_strategy(g, &strategy).unwrap();
+    strategy
+}
+
+/// The spans the traced shared run recorded for its own expressions, in
+/// strategy order: `(expression span, its materialize_operands span)`.
+fn comp_spans(records: &[SpanRecord]) -> Vec<(&SpanRecord, Option<&SpanRecord>)> {
+    let is_view = |r: &SpanRecord, v: &str| matches!(r.attr(uww::obs::keys::VIEW), Some(AttrValue::Str(s)) if s == v);
+    let run = records
+        .iter()
+        .find(|r| r.kind == SpanKind::Expression && is_view(r, "ABC"))
+        .expect("the traced run recorded Comp(ABC)")
+        .parent;
+    let mut exprs: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.kind == SpanKind::Expression && r.parent == run)
+        .collect();
+    exprs.sort_by_key(|r| r.start_us);
+    exprs
+        .into_iter()
+        .map(|e| {
+            let mat = records
+                .iter()
+                .find(|r| r.parent == e.id && r.name == "materialize_operands");
+            (e, mat)
+        })
+        .collect()
+}
+
+/// Publish candidates that are never consumed, and a zero-install `Inst`
+/// between a publisher and a would-be consumer, leave every counter where
+/// the oracle puts it: per-expression counters equal `plan_strategy_sharing`,
+/// the carried-window conformance is exact, and state, WAL bytes and the
+/// logical meter equal the per-`Comp` run's.
+#[test]
+fn unconsumed_publications_move_no_counter() {
+    for round in 0..3u64 {
+        let seed = seed_base().wrapping_mul(71).wrapping_add(round);
+        let (w, changes) = candidate_fixture(seed);
+        let strategy = candidate_strategy(&w);
+        let mut loaded = w.clone();
+        loaded.load_changes(changes.clone()).unwrap();
+        let plan = plan_strategy_sharing(&loaded, &strategy, SharingScope::Strategy).unwrap();
+
+        // The scenario as designed: `(A, stored, A.k)` is keyed by `AB` and
+        // by no later `Comp` before `Inst(A)`; `ED` consumes `D.k`, `BD`
+        // after the no-op `Inst(D)` does not.
+        let a_k = |p: &uww::core::CompSharingPlan| {
+            p.operands
+                .iter()
+                .any(|o| o.source == "A" && !o.as_delta && o.key_cols == ["A.k"])
+        };
+        assert!(
+            a_k(&plan.exprs[AB].plan),
+            "seed {seed}: AB keys stored A on A.k"
+        );
+        assert!(
+            !plan.exprs[ABC..3].iter().any(|e| a_k(&e.plan)),
+            "seed {seed}: no Comp before Inst(A) consumes A.k"
+        );
+        assert!(plan.exprs[ABC].plan.cross_reuses > 0, "seed {seed}");
+        assert!(plan.exprs[ED_OVER_E].plan.cross_reuses > 0, "seed {seed}");
+        assert_eq!(plan.exprs[BD_OVER_B].plan.cross_reuses, 0, "seed {seed}");
+        assert!(
+            plan.exprs[BD_OVER_B].plan.predicted_builds > 0,
+            "seed {seed}"
+        );
+
+        let reference_dir = wal_dir(&format!("cand-ref-{round}"));
+        let mut reference = loaded.clone();
+        let per_comp = reference
+            .execute_with(
+                &strategy,
+                ExecOptions {
+                    term_sharing: true,
+                    ..opts(&reference_dir, false, 0, FaultPlan::none())
+                },
+            )
+            .unwrap();
+        for threads in [0usize, 3] {
+            let dir = wal_dir(&format!("cand-{round}-{threads}"));
+            let mut shared = loaded.clone();
+            // The trace subscriber is process-global; this is the only test
+            // in the binary that installs one.
+            let traced = threads == 0;
+            let buf = Arc::new(TraceBuffer::new(1 << 16));
+            if traced {
+                uww::obs::install(Arc::clone(&buf));
+            }
+            let out = shared.execute_carried(
+                &strategy,
+                opts(&dir, true, threads, FaultPlan::none()),
+                WindowCarry::empty(),
+            );
+            if traced {
+                uww::obs::uninstall();
+            }
+            let out = out.unwrap();
+            let tag = format!("seed {seed} threads {threads}");
+            assert!(out.conformance.exact(), "{tag}: {:?}", out.conformance);
+            for (i, (p, e)) in plan.exprs.iter().zip(&out.report.per_expr).enumerate() {
+                assert_eq!(
+                    (
+                        p.plan.predicted_builds,
+                        p.plan.predicted_reuses,
+                        p.plan.cross_reuses,
+                        p.plan.cached_reads
+                    ),
+                    (
+                        e.work.hash_tables_built,
+                        e.work.hash_tables_reused,
+                        e.work.hash_tables_cross_reused,
+                        e.work.operand_reads_cached
+                    ),
+                    "{tag}: expression {i} diverged from the oracle"
+                );
+                assert_eq!(
+                    e.work.logical(),
+                    per_comp.per_expr[i].work.logical(),
+                    "{tag}: logical meter of expression {i}"
+                );
+            }
+            assert_eq!(
+                catalog_to_string(shared.state()),
+                catalog_to_string(reference.state()),
+                "{tag}: state"
+            );
+            assert_eq!(
+                std::fs::read(dir.join("wal.log")).unwrap(),
+                std::fs::read(reference_dir.join("wal.log")).unwrap(),
+                "{tag}: WAL bytes"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+
+            // The trace shows the unconsumed publication: AB publishes every
+            // key it builds, A.k among them.
+            if traced {
+                let records = buf.take_records();
+                let spans = comp_spans(&records);
+                assert_eq!(spans.len(), strategy.len(), "{tag}");
+                let published = |i: usize| {
+                    spans[i]
+                        .1
+                        .and_then(|m| m.attr_u64(uww::obs::keys::PUBLISHED_KEYS))
+                };
+                assert_eq!(
+                    published(AB),
+                    Some(plan.exprs[AB].plan.operands.len() as u64),
+                    "{tag}: AB publishes each of its keys"
+                );
+                assert_eq!(published(BD_OVER_B), Some(0), "{tag}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&reference_dir);
     }
 }

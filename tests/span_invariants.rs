@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use uww::core::{all_one_way_vdag_strategies, ExecOptions, FsyncPolicy, WalConfig, Warehouse};
-use uww::obs::{SpanKind, SpanRecord, TraceBuffer};
+use uww::obs::{AttrValue, SpanKind, SpanRecord, TraceBuffer};
 use uww::relational::{
     catalog_to_string, DeltaRelation, EquiJoin, OutputColumn, Predicate, Schema, Table, Tuple,
     Value, ValueType, ViewDef, ViewOutput, ViewSource, WorkMeter,
@@ -173,12 +173,25 @@ fn run_once(
     tag: &str,
     trace: bool,
 ) -> (RunOutcome, Vec<SpanRecord>) {
+    run_with(w, changes, strategy, tag, trace, false)
+}
+
+/// [`run_once`], optionally with the strategy-scope cache on.
+fn run_with(
+    w: &Warehouse,
+    changes: &BTreeMap<String, DeltaRelation>,
+    strategy: &Strategy,
+    tag: &str,
+    trace: bool,
+    strategy_sharing: bool,
+) -> (RunOutcome, Vec<SpanRecord>) {
     let mut clone = w.clone();
     clone.load_changes(changes.clone()).unwrap();
     let dir = wal_dir(tag);
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
         term_threads: 0,
+        strategy_sharing,
         ..ExecOptions::default()
     };
     let buf = Arc::new(TraceBuffer::new(1 << 16));
@@ -326,4 +339,67 @@ fn disabled_tracing_is_byte_identical_and_records_nothing() {
             assert_eq!(plain.total, traced.total);
         }
     }
+}
+
+/// The strategy cache plans each `Comp` inside the traced window, on the
+/// `Comp`'s `materialize_operands` span: its predicted cross-expression
+/// reuses and cached reads must equal what the `Comp` then measured, and it
+/// records how many keys it consumed and published.
+#[test]
+fn strategy_shared_trace_predictions_match_measured() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = seed_base();
+    let (mut cross, mut consumed) = (0, 0);
+    for round in 0..3u64 {
+        let seed = base.wrapping_mul(389).wrapping_add(round);
+        let (w, changes) = random_warehouse(seed);
+        let mut rng = SplitMix64::new(seed ^ 0x57A7_5EED);
+        for (si, strategy) in random_strategies(&w, &mut rng, 2).iter().enumerate() {
+            let tag = format!("shared-{round}-{si}");
+            let (shared, records) = run_with(&w, &changes, strategy, &tag, true, true);
+            let (plain, _) = run_once(&w, &changes, strategy, &format!("{tag}-plain"), false);
+            assert_eq!(shared.state, plain.state, "{tag}: state");
+            assert_eq!(shared.wal_bytes, plain.wal_bytes, "{tag}: WAL bytes");
+            assert_eq!(shared.logical, plain.logical, "{tag}: logical meter");
+            assert_tree_sound(&records);
+
+            let comps = records.iter().filter(|r| {
+                r.kind == SpanKind::Expression
+                    && matches!(
+                        r.attr(uww::obs::keys::EXPR_KIND),
+                        Some(AttrValue::Str(k)) if k == "comp"
+                    )
+            });
+            for e in comps {
+                let mat = records
+                    .iter()
+                    .find(|r| r.parent == e.id && r.name == "materialize_operands")
+                    .unwrap_or_else(|| panic!("{tag}: {:?} has no materialization", e.name));
+                let attr = |r: &SpanRecord, key: &str| {
+                    r.attr_u64(key)
+                        .unwrap_or_else(|| panic!("{tag}: {:?} lacks {key}", r.name))
+                };
+                let predicted = attr(mat, uww::obs::keys::PREDICTED_HASH_CROSS_REUSES);
+                assert_eq!(
+                    predicted,
+                    attr(e, uww::obs::keys::HASH_CROSS_REUSES),
+                    "{tag}: {:?} cross-reuses",
+                    e.name
+                );
+                assert_eq!(
+                    attr(mat, uww::obs::keys::PREDICTED_CACHED_READS),
+                    attr(e, uww::obs::keys::CACHED_READS),
+                    "{tag}: {:?} cached reads",
+                    e.name
+                );
+                attr(mat, uww::obs::keys::PUBLISHED_KEYS);
+                cross += predicted;
+                consumed += attr(mat, uww::obs::keys::CONSUMED_KEYS);
+            }
+        }
+    }
+    assert!(
+        cross > 0 && consumed > 0,
+        "the sweep never served a cross-expression reuse"
+    );
 }
